@@ -2,7 +2,9 @@
 
 from .fieldfile import (
     BadMagicError,
+    EmptyGridError,
     FieldFileError,
+    TrailingBytesError,
     TruncatedFileError,
     UnknownDtypeError,
     read_field_file,

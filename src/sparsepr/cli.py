@@ -96,12 +96,19 @@ def _phantom_spec_from_args(args) -> experiment.PhantomSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _make_phantom(spec: experiment.PhantomSpec) -> np.ndarray:
+    """The phantom of `spec`; a spec no draw can satisfy is a usage error."""
+    generate = (experiment.binary_phase_phantom if spec.kind == "binary"
+                else experiment.gray_phase_phantom)
+    try:
+        return generate(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_phantom(args) -> int:
     spec = _phantom_spec_from_args(args)
-    if spec.kind == "binary":
-        truth = experiment.binary_phase_phantom(spec)
-    else:
-        truth = experiment.gray_phase_phantom(spec)
+    truth = _make_phantom(spec)
     mask = experiment.make_support(spec.image_size, spec.support_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,11 +288,8 @@ def cmd_sweep(args) -> int:
     base.setdefault("beta", 0.9)
     base.setdefault("n_iterations", 500)
 
+    truth = _make_phantom(phantom)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if phantom.kind == "binary":
-        truth = experiment.binary_phase_phantom(phantom)
-    else:
-        truth = experiment.gray_phase_phantom(phantom)
     mask = experiment.make_support(phantom.image_size, phantom.support_size)
     magnitude = fourier.magnitude_of(fourier.forward_transform(truth))
     write_field_file(truth, out_dir / "truth.prf1")

@@ -94,36 +94,62 @@ def _support_slices(spec: PhantomSpec):
     return slice(start, stop), slice(start, stop)
 
 
+# Rejection-sampling budget of the phantom generators. At the default
+# phase step about one draw in three is accepted (at most 44 draws over
+# 2,400 seeds and sizes); a binary step below about 1.9 rad, or any
+# object that is its own twin (step 0 or 2*pi), is rejected on every draw.
+MAX_PHANTOM_DRAWS = 500
+
+
+def _xor_rectangles(rng, s: int) -> np.ndarray:
+    """XOR of 14 random axis-aligned rectangles: letter-like two-level art."""
+    lo, hi = max(2, s // 10), max(3, s // 3)
+    levels = np.zeros((s, s), dtype=bool)
+    for _ in range(14):
+        w = int(rng.integers(lo, hi + 1))
+        h = int(rng.integers(lo, hi + 1))
+        x = int(rng.integers(0, s - w + 1))
+        y = int(rng.integers(0, s - h + 1))
+        levels[y : y + h, x : x + w] ^= True
+    return levels
+
+
+def _sample_distinct_block(draw, spec: PhantomSpec) -> np.ndarray:
+    """Call draw() -> (levels, block) until the two-level pattern is
+    roughly balanced and the block is clearly distinguishable from its own
+    flip-conjugate, so that the twin correlation metric cannot misfire on
+    a converged reconstruction. Raises ValueError after MAX_PHANTOM_DRAWS
+    rejected draws."""
+    for _ in range(MAX_PHANTOM_DRAWS):
+        levels, block = draw()
+        self_twin = abs(np.sum(block * block[::-1, ::-1])) / levels.size
+        if 0.30 <= levels.mean() <= 0.65 and self_twin < 0.30:
+            return block
+    raise ValueError(
+        f"no {spec.kind} phantom distinguishable from its twin in {MAX_PHANTOM_DRAWS} draws "
+        f"(phase_step={spec.phase_step}, phase_range={spec.phase_range}, "
+        f"support_size={spec.support_size}, pattern_seed={spec.pattern_seed})"
+    )
+
+
+def _embed(block, spec: PhantomSpec) -> np.ndarray:
+    field = np.zeros((spec.image_size, spec.image_size), dtype=np.complex128)
+    sy, sx = _support_slices(spec)
+    field[sy, sx] = block
+    return field
+
+
 def binary_phase_phantom(spec: PhantomSpec) -> np.ndarray:
     """Unit-amplitude object with a two-level {0, phase_step} blocky phase."""
     if spec.kind != "binary":
         raise ValueError("spec.kind must be 'binary'")
     rng = np.random.default_rng(spec.pattern_seed)
-    s = spec.support_size
-    # XOR of random axis-aligned rectangles gives letter-like two-level art.
-    n_rects = 14
-    lo, hi = max(2, s // 10), max(3, s // 3)
-    while True:
-        levels = np.zeros((s, s), dtype=bool)
-        for _ in range(n_rects):
-            w = int(rng.integers(lo, hi + 1))
-            h = int(rng.integers(lo, hi + 1))
-            x = int(rng.integers(0, s - w + 1))
-            y = int(rng.integers(0, s - h + 1))
-            levels[y : y + h, x : x + w] ^= True
-        # resample until the pattern is roughly level-balanced and clearly
-        # distinguishable from its own flip-conjugate, so that the twin
-        # correlation metric cannot misfire on a converged reconstruction
-        block = np.exp(1j * levels * spec.phase_step)
-        self_twin = abs(np.sum(block * block[::-1, ::-1])) / levels.size
-        if 0.30 <= levels.mean() <= 0.65 and self_twin < 0.30:
-            break
-    phase = np.zeros((spec.image_size, spec.image_size))
-    sy, sx = _support_slices(spec)
-    phase[sy, sx] = levels * spec.phase_step
-    field = np.zeros((spec.image_size, spec.image_size), dtype=np.complex128)
-    field[sy, sx] = np.exp(1j * phase[sy, sx])
-    return field
+
+    def draw():
+        levels = _xor_rectangles(rng, spec.support_size)
+        return levels, np.exp(1j * levels * spec.phase_step)
+
+    return _embed(_sample_distinct_block(draw, spec), spec)
 
 
 def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
@@ -133,18 +159,12 @@ def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
         raise ValueError("spec.kind must be 'gray'")
     rng = np.random.default_rng(spec.pattern_seed)
     s = spec.support_size
-    lo, hi = max(2, s // 10), max(3, s // 3)
-    while True:
-        # sharp two-level base from XORed rectangles; without this bimodal
-        # backbone the phase histogram is too concentrated and the object
-        # becomes indistinguishable from its own flip-conjugate
-        levels = np.zeros((s, s), dtype=bool)
-        for _ in range(14):
-            w = int(rng.integers(lo, hi + 1))
-            h = int(rng.integers(lo, hi + 1))
-            x = int(rng.integers(0, s - w + 1))
-            y = int(rng.integers(0, s - h + 1))
-            levels[y : y + h, x : x + w] ^= True
+
+    def draw():
+        # sharp two-level base; without this bimodal backbone the phase
+        # histogram is too concentrated and the object becomes
+        # indistinguishable from its own flip-conjugate
+        levels = _xor_rectangles(rng, s)
         # smooth low-frequency variation layered on top
         yy, xx = np.meshgrid(np.arange(s) / s, np.arange(s) / s, indexing="ij")
         smooth = np.zeros((s, s))
@@ -157,14 +177,9 @@ def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
         phase = levels + 0.35 * smooth
         phase -= phase.min()
         phase *= spec.phase_range / phase.max()
-        block = np.exp(1j * phase)
-        self_twin = abs(np.sum(block * block[::-1, ::-1])) / phase.size
-        if 0.30 <= levels.mean() <= 0.65 and self_twin < 0.30:
-            break
-    field = np.zeros((spec.image_size, spec.image_size), dtype=np.complex128)
-    sy, sx = _support_slices(spec)
-    field[sy, sx] = block
-    return field
+        return levels, np.exp(1j * phase)
+
+    return _embed(_sample_distinct_block(draw, spec), spec)
 
 
 def flip_conjugate(field) -> np.ndarray:

@@ -10,7 +10,8 @@ Layout (little-endian, no padding beyond the 3 reserved bytes):
     payload         row-major samples
 
 The format is bit-exact: write followed by read reproduces the grid
-bit-for-bit.
+bit-for-bit. The reader is strict: a grid must have at least one sample,
+and the file must end where the payload does.
 """
 
 from __future__ import annotations
@@ -43,11 +44,19 @@ class UnknownDtypeError(FieldFileError):
     pass
 
 
+class EmptyGridError(FieldFileError):
+    """The header declares a zero width or height."""
+
+
+class TrailingBytesError(FieldFileError):
+    """Bytes follow the payload the header promises."""
+
+
 def write_field_file(grid, path) -> None:
     """Write a real or complex 2D grid to `path` in PRF1 format."""
     a = np.asarray(grid)
-    if a.ndim != 2:
-        raise ValueError(f"grid must be 2D, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"grid must be 2D and non-empty, got shape {a.shape}")
     if np.iscomplexobj(a):
         payload = np.ascontiguousarray(a, dtype="<c16")
         code = DTYPE_COMPLEX
@@ -82,11 +91,17 @@ def read_field_file(path) -> np.ndarray:
         dtype = np.dtype("<c16")
     else:
         raise UnknownDtypeError(f"{path}: unknown dtype code {code}")
+    if width == 0 or height == 0:
+        raise EmptyGridError(f"{path}: header declares an empty {width}x{height} grid")
     expected = width * height * dtype.itemsize
     payload = raw[_HEADER.size:]
     if len(payload) < expected:
         raise TruncatedFileError(
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
-    data = np.frombuffer(payload[:expected], dtype=dtype).reshape(height, width)
+    if len(payload) > expected:
+        raise TrailingBytesError(
+            f"{path}: {len(payload) - expected} bytes after the {expected}-byte payload"
+        )
+    data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
     return data.astype(np.complex128 if code == DTYPE_COMPLEX else np.float64)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
 from .grids import as_mask, check_same_shape
-from .sparsity import PenaltySpec, huber_value, select_delta, sparsity_descent, tv_value
+from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
+                       support_window, tv_value)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class RunReport:
     fourier_residual_trace: np.ndarray
     seed: int
     wall_time: float
-    twin_metrics: object = None
 
 
 def random_phase_init(width: int, height: int, seed: int) -> np.ndarray:
@@ -69,11 +69,11 @@ def zero_outside_support(field, mask) -> np.ndarray:
     return np.where(m, f, 0)
 
 
-def _penalty_of(g, mask, spec: PenaltySpec) -> float:
+def _penalty_of(g, window, spec: PenaltySpec) -> float:
     if spec.kind == "huber":
-        delta = select_delta(g, mask) if spec.delta_rule == "median" else float(spec.delta_rule)
-        return huber_value(g, delta, mask)
-    return tv_value(g, mask)
+        delta = select_delta(g, window) if spec.delta_rule == "median" else float(spec.delta_rule)
+        return huber_value(g, delta, window)
+    return tv_value(g, window)
 
 
 def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
@@ -83,9 +83,16 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
     check_same_shape(mag, m)
     if np.any(mag < 0) or not np.all(np.isfinite(mag)):
         raise ValueError("magnitude data must be nonnegative and finite")
+    if not mag.any():
+        raise ValueError("magnitude data is all zero")
+    # Masks are checked and cut to their windows once per run; the loop
+    # hands the windows to the descent and the penalty trace.
+    window = support_window(m)
+    initial_window = None
     if initial_mask is not None:
         initial_mask = as_mask(initial_mask)
         check_same_shape(initial_mask, m)
+        initial_window = support_window(initial_mask)
 
     start = time.perf_counter()
     height, width = mag.shape
@@ -95,28 +102,30 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = sparse and config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
+    mag_norm = np.linalg.norm(mag)
 
     for n in range(config.n_iterations):
-        step_mask = m
+        step_mask, step_window = m, window
         if initial_mask is not None and n < initial_iterations:
-            step_mask = initial_mask
+            step_mask, step_window = initial_mask, initial_window
         g_hat = inverse_transform(spectrum)
         g = hio_update(g, g_hat, step_mask, config.beta)
         if do_descent:
-            g = sparsity_descent(g, step_mask, config.penalty)
+            g = sparsity_descent(g, step_window, config.penalty)
         big_g = forward_transform(g)
         big_g_mag = np.abs(big_g)
-        residual_trace[n] = float(
-            np.linalg.norm(big_g_mag - mag) / np.linalg.norm(mag)
-        )
-        penalty_trace[n] = _penalty_of(g, m, config.penalty)
+        residual_trace[n] = float(np.linalg.norm(big_g_mag - mag) / mag_norm)
+        # A NaN or inf anywhere in the spectrum makes the residual non-finite,
+        # so a blow-up stops the run at the iteration where it happens.
+        if not np.isfinite(residual_trace[n]):
+            raise FloatingPointError(
+                f"non-finite Fourier residual at iteration {n + 1} of {config.n_iterations}"
+            )
+        penalty_trace[n] = _penalty_of(g, window, config.penalty)
         spectrum = impose_magnitude(big_g, mag)
 
-    final = zero_outside_support(g, m)
-    if not np.all(np.isfinite(final)):
-        raise FloatingPointError("retrieval produced non-finite samples")
     return RunReport(
-        final_field=final,
+        final_field=zero_outside_support(g, m),
         penalty_trace=penalty_trace,
         fourier_residual_trace=residual_trace,
         seed=config.seed,

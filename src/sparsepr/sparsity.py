@@ -15,6 +15,7 @@ gradients pass finite-difference checks to machine-level accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,31 +88,76 @@ def discrete_divergence(gx, gy) -> np.ndarray:
     check_same_shape(gx, gy)
     out = np.zeros_like(gx)
     # Last column of gx / last row of gy never contribute to <grad f, p>,
-    # so the adjoint ignores them.
-    out[:, 0] += gx[:, 0]
-    out[:, 1:-1] += gx[:, 1:-1] - gx[:, :-2]
-    out[:, -1] -= gx[:, -2]
-    out[0, :] += gy[0, :]
-    out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
-    out[-1, :] -= gy[-2, :]
+    # so the adjoint ignores them; along an axis of length 1 nothing does.
+    if out.shape[1] > 1:
+        out[:, 0] += gx[:, 0]
+        out[:, 1:-1] += gx[:, 1:-1] - gx[:, :-2]
+        out[:, -1] -= gx[:, -2]
+    if out.shape[0] > 1:
+        out[0, :] += gy[0, :]
+        out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
+        out[-1, :] -= gy[-2, :]
     return out
+
+
+class SupportWindow(NamedTuple):
+    """A support mask cut to its bounding box.
+
+    `shape` is the full grid's shape, `rows`/`cols` slice the window out
+    of it and `mask` is the support inside the window. Every penalty
+    function accepts one wherever it accepts a region mask; a caller that
+    evaluates penalties many times on one support builds it once with
+    `support_window` and skips the per-call mask checks and cropping.
+    """
+
+    shape: tuple
+    rows: slice
+    cols: slice
+    mask: np.ndarray
+
+
+def support_window(region) -> SupportWindow:
+    """Validate a support mask and cut it to its bounding-box window."""
+    m = as_mask(region)
+    x0, y0, x1, y1 = bounding_box(m)
+    rows, cols = slice(y0, y1 + 1), slice(x0, x1 + 1)
+    return SupportWindow(m.shape, rows, cols, m[rows, cols])
+
+
+def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
+    """The field as an array and the window of `region` (whole grid if None)."""
+    f = np.asarray(field)
+    if region is None:
+        return f, SupportWindow(f.shape, slice(None), slice(None), np.ones(f.shape, dtype=bool))
+    window = region if isinstance(region, SupportWindow) else support_window(region)
+    if f.shape != window.shape:
+        raise ValueError(f"shape mismatch: {sorted({f.shape, window.shape})}")
+    return f, window
 
 
 def _restrict(field, region):
     """Bounding-box view of the field and mask for in-support penalties."""
-    if region is None:
-        f = np.asarray(field)
-        return f, np.ones(f.shape, dtype=bool)
-    m = as_mask(region)
-    f = np.asarray(field)
-    check_same_shape(f, m)
-    x0, y0, x1, y1 = bounding_box(m)
-    return f[y0 : y1 + 1, x0 : x1 + 1], m[y0 : y1 + 1, x0 : x1 + 1]
+    f, window = _window_of(field, region)
+    return f[window.rows, window.cols], window.mask
 
 
-def _grad_mag_sq(field) -> np.ndarray:
+class Gradient(NamedTuple):
+    """discrete_gradient of a field with its squared modulus |gx|^2 + |gy|^2.
+
+    Every penalty value and gradient function takes one as `grad`: a
+    caller that already holds the gradient of the array it evaluates
+    (for a penalty value, of the region's window of that array) passes it
+    and the function skips the differencing.
+    """
+
+    gx: np.ndarray
+    gy: np.ndarray
+    mag_sq: np.ndarray
+
+
+def gradient_of(field) -> Gradient:
     gx, gy = discrete_gradient(field)
-    return np.abs(gx) ** 2 + np.abs(gy) ** 2
+    return Gradient(gx, gy, np.abs(gx) ** 2 + np.abs(gy) ** 2)
 
 
 def tv_value(field, region=None) -> float:
@@ -121,38 +167,43 @@ def tv_value(field, region=None) -> float:
     outside-support content never leaks into the reported value.
     """
     sub, submask = _restrict(field, region)
-    return float(np.sum(np.sqrt(_grad_mag_sq(sub))[submask]))
+    return float(np.sum(np.sqrt(gradient_of(sub).mag_sq)[submask]))
 
 
-def smoothed_tv_value(field, epsilon, region=None) -> float:
+def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None) -> float:
     """TV with the modulus smoothed to sqrt(|grad|^2 + eps^2).
 
     This is the exact antiderivative of `tv_gradient`, used by the line
     search and the finite-difference gradient checks.
     """
     sub, submask = _restrict(field, region)
-    return float(np.sum(np.sqrt(_grad_mag_sq(sub) + epsilon**2)[submask]))
+    if grad is None:
+        grad = gradient_of(sub)
+    return float(np.sum(np.sqrt(grad.mag_sq + epsilon**2)[submask]))
 
 
-def tv_gradient(field, epsilon) -> np.ndarray:
+def tv_gradient(field, epsilon, grad: Gradient | None = None) -> np.ndarray:
     """Functional gradient of the smoothed TV: -div(grad f / sqrt(|grad f|^2 + eps^2))."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    gx, gy = discrete_gradient(field)
-    scale = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2 + epsilon**2)
-    return -discrete_divergence(gx / scale, gy / scale)
+    if grad is None:
+        grad = gradient_of(field)
+    scale = np.sqrt(grad.mag_sq + epsilon**2)
+    return -discrete_divergence(grad.gx / scale, grad.gy / scale)
 
 
-def huber_value(field, delta, region=None) -> float:
+def huber_value(field, delta, region=None, grad: Gradient | None = None) -> float:
     """Huber-style penalty sum of sqrt(1 + |grad g|^2/delta^2) - 1 over `region`."""
     if not delta > 0:
         raise ValueError("delta must be > 0")
     sub, submask = _restrict(field, region)
-    per_pixel = np.sqrt(1.0 + _grad_mag_sq(sub) / delta**2) - 1.0
+    if grad is None:
+        grad = gradient_of(sub)
+    per_pixel = np.sqrt(1.0 + grad.mag_sq / delta**2) - 1.0
     return float(np.sum(per_pixel[submask]))
 
 
-def huber_gradient(field, delta) -> np.ndarray:
+def huber_gradient(field, delta, grad: Gradient | None = None) -> np.ndarray:
     """Functional gradient of the Huber penalty.
 
     -(1/delta^2) div(grad f / sqrt(1 + |grad f|^2/delta^2)); the
@@ -160,19 +211,22 @@ def huber_gradient(field, delta) -> np.ndarray:
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
-    gx, gy = discrete_gradient(field)
-    scale = np.sqrt(1.0 + (np.abs(gx) ** 2 + np.abs(gy) ** 2) / delta**2)
-    return -discrete_divergence(gx / scale, gy / scale) / delta**2
+    if grad is None:
+        grad = gradient_of(field)
+    scale = np.sqrt(1.0 + grad.mag_sq / delta**2)
+    return -discrete_divergence(grad.gx / scale, grad.gy / scale) / delta**2
 
 
-def select_delta(field, region=None) -> float:
+def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     """Median gradient magnitude over the region's pixels.
 
     Falls back to 1e-6 * (max gradient magnitude, or 1 if that is zero)
     when the median itself is zero, e.g. for a constant field.
     """
     sub, submask = _restrict(field, region)
-    mags = np.sqrt(_grad_mag_sq(sub))[submask]
+    if grad is None:
+        grad = gradient_of(sub)
+    mags = np.sqrt(grad.mag_sq)[submask]
     med = float(np.median(mags))
     if med > 0:
         return med
@@ -180,7 +234,7 @@ def select_delta(field, region=None) -> float:
     return 1e-6 * (peak if peak > 0 else 1.0)
 
 
-def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec) -> float:
+def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None) -> float:
     """Armijo backtracking along `descent_dir` (= minus the penalty gradient).
 
     Tries t = t0 * ls_shrink^k for k = 0..60, where t0 is t_init rescaled
@@ -188,11 +242,19 @@ def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec) -> float:
     across image scales. Returns the first t with
     penalty(field + t*d) <= penalty(field) - ls_alpha * t * ||d||^2,
     or 0.0 if none qualifies (no progress possible at this resolution).
+    A caller that already knows penalty(field) passes it as `p0`, which
+    saves one evaluation; penalty is then called on trial points only.
+
+    When it returns t > 0, its last call to `penalty` was on the accepted
+    trial field + t*d, so a penalty that records its argument holds the
+    next iterate; sparsity_descent relies on this.
     """
     d = np.asarray(descent_dir)
-    d_sq = float(np.sum(np.abs(d) ** 2))
-    p0 = penalty(field)
-    t = spec.t_init / max(1.0, float(np.max(np.abs(d))) if d.size else 0.0)
+    d_abs = np.abs(d)
+    d_sq = float(np.sum(d_abs ** 2))
+    if p0 is None:
+        p0 = penalty(field)
+    t = spec.t_init / max(1.0, float(np.max(d_abs)) if d.size else 0.0)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
         if penalty(field + t * d) <= p0 - spec.ls_alpha * t * d_sq:
             return t
@@ -203,43 +265,58 @@ def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec) -> float:
 def sparsity_descent(field, region, spec: PenaltySpec) -> np.ndarray:
     """Run spec.n_inner_steps penalty-descent steps on the in-support pixels.
 
-    Work happens on the region's bounding-box window; only pixels where
-    the mask is true are updated, everything else is returned unchanged
-    bit-for-bit. For the Huber penalty, delta is recomputed from the
-    current iterate at every step.
+    Work happens on the region's bounding-box window (`region` is a mask
+    or a SupportWindow); only pixels where the mask is true are updated,
+    everything else is returned unchanged bit-for-bit. For the Huber
+    penalty, delta is recomputed from the current iterate at every step.
+
+    A step is tv_gradient (or select_delta and huber_gradient) followed by
+    backtracking_step with the penalty's value function. The accepted
+    line-search trial is the next iterate, so its Gradient and, for TV
+    (whose epsilon is fixed for the call), its penalty value carry over as
+    that step's `grad` and `p0`: a step differences one array per trial.
     """
     if spec.kind == "none":
         return np.array(field, copy=True)
-    m = as_mask(region)
-    f = np.asarray(field)
-    check_same_shape(f, m)
-    x0, y0, x1, y1 = bounding_box(m)
-    sub = f[y0 : y1 + 1, x0 : x1 + 1].copy()
-    submask = m[y0 : y1 + 1, x0 : x1 + 1]
+    f, window = _window_of(field, region)
+    sub = f[window.rows, window.cols]
+    inside = window.mask
+    # The window's own window: `sub` is all of it, so penalty calls crop nothing.
+    local = SupportWindow(sub.shape, slice(None), slice(None), inside)
+    tv = spec.kind == "tv"
+    if tv:
+        eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+    elif spec.delta_rule != "median":
+        delta = float(spec.delta_rule)
 
-    if spec.kind == "tv":
-        scale = float(np.max(np.abs(sub)))
-        eps = max(spec.epsilon * scale, EPSILON_FLOOR)
+    def penalty(g) -> float:
+        """Penalty of a line-search trial; the trial is kept in `accepted`."""
+        nonlocal accepted
+        g_grad = gradient_of(g)
+        if tv:
+            value = smoothed_tv_value(g, eps, local, g_grad)
+        else:
+            value = huber_value(g, delta, local, g_grad)
+        accepted = g, g_grad, value
+        return value
 
+    grad = gradient_of(sub)
+    p0 = smoothed_tv_value(sub, eps, local, grad) if tv else None
+    accepted = None
     for _ in range(spec.n_inner_steps):
-        if spec.kind == "tv":
-            grad = tv_gradient(sub, eps)
-            penalty = lambda g: smoothed_tv_value(g, eps, submask)  # noqa: E731
+        if tv:
+            step = tv_gradient(sub, eps, grad)
         else:
             if spec.delta_rule == "median":
-                delta = select_delta(sub, submask)
-            else:
-                delta = float(spec.delta_rule)
-            grad = huber_gradient(sub, delta)
-            penalty = lambda g, d=delta: huber_value(g, d, submask)  # noqa: E731
-        direction = np.where(submask, -grad, 0)
-        if not direction.any():
+                delta = select_delta(sub, local, grad)
+            step = huber_gradient(sub, delta, grad)
+            p0 = huber_value(sub, delta, local, grad)
+        direction = np.where(inside, -step, 0)
+        if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0) == 0.0:
             break
-        t = backtracking_step(sub, direction, penalty, spec)
-        if t == 0.0:
-            break
-        sub = sub + t * direction
+        # t > 0: the last penalty call was the accepted trial sub + t*direction.
+        sub, grad, p0 = accepted
 
     out = f.copy()
-    out[y0 : y1 + 1, x0 : x1 + 1] = np.where(submask, sub, out[y0 : y1 + 1, x0 : x1 + 1])
+    out[window.rows, window.cols] = np.where(inside, sub, out[window.rows, window.cols])
     return out

@@ -73,6 +73,14 @@ def test_phantom_rejects_bad_geometry(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_phantom_self_twin_step_is_usage_error(tmp_path, capsys):
+    code = main(["phantom", "--step", "0", "--size", "32", "--support", "12",
+                 "--out", str(tmp_path / "ph")])
+    assert code == EXIT_USAGE
+    assert "twin" in capsys.readouterr().err
+    assert not (tmp_path / "ph").exists()
+
+
 def test_forward_command(tmp_path):
     truth, _, magnitude = make_inputs(tmp_path)
     out = tmp_path / "fw"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,21 @@ def test_gray_phantom_distinguishable_from_own_twin():
     m = twin_correlations(truth, truth, mask)
     assert m.c_twin < 0.30
     assert not m.twin_present
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("binary", {"phase_step": 0.0}),
+    ("binary", {"phase_step": 2 * np.pi}),
+    ("gray", {"phase_range": 0.0}),
+], ids=["binary-step-0", "binary-step-2pi", "gray-range-0"])
+def test_self_twin_phantom_fails_fast(kind, overrides):
+    # every draw of these objects is its own twin, so no draw is accepted
+    spec = PhantomSpec(image_size=32, support_size=12, kind=kind, **overrides)
+    generate = binary_phase_phantom if kind == "binary" else gray_phase_phantom
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="distinguishable from its twin"):
+        generate(spec)
+    assert time.perf_counter() - start < 0.9
 
 
 # ------------------------------------------------------------ twin algebra

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from sparsepr.fieldfile import (
     BadMagicError,
+    EmptyGridError,
+    FieldFileError,
+    TrailingBytesError,
     TruncatedFileError,
     UnknownDtypeError,
     read_field_file,
@@ -78,6 +81,34 @@ def test_unknown_dtype(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(UnknownDtypeError):
         read_field_file(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "tail.prf1"
+    write_field_file(np.zeros((3, 3)), path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(TrailingBytesError):
+        read_field_file(path)
+
+
+@pytest.mark.parametrize("offset", [4, 8], ids=["width", "height"])
+def test_zero_side_rejected(tmp_path, offset):
+    path = tmp_path / "empty.prf1"
+    write_field_file(np.zeros((3, 3)), path)
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(raw[:16]))  # a zero-size grid has an empty payload
+    with pytest.raises(EmptyGridError):
+        read_field_file(path)
+    path.write_bytes(bytes(raw))  # and the old payload is not a fit either
+    with pytest.raises(FieldFileError):
+        read_field_file(path)
+
+
+def test_writer_rejects_empty_grid(tmp_path):
+    with pytest.raises(ValueError):
+        write_field_file(np.zeros((3, 0)), tmp_path / "e.prf1")
+    assert not (tmp_path / "e.prf1").exists()
 
 
 @settings(max_examples=40, deadline=None)

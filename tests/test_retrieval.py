@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsepr import retrieval
 from sparsepr.experiment import binary_phase_phantom, make_support, PhantomSpec
 from sparsepr.fourier import forward_transform, magnitude_of
 from sparsepr.retrieval import (
@@ -212,3 +213,33 @@ def test_truncation_schedule_changes_result():
     truncated = run_hio(magnitude, mask, cfg, initial_mask=tri, initial_iterations=4)
     assert not np.array_equal(plain.final_field, truncated.final_field)
     assert not truncated.final_field[~mask].any()
+
+
+# ------------------------------------------------------------ numerical blow-up
+
+@pytest.mark.parametrize("kind", ["none", "tv"])
+def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
+    _, mask, magnitude = small_problem()
+    real_forward = retrieval.forward_transform
+    calls = []
+
+    def forward_with_nan_at_3(field):
+        calls.append(1)
+        spectrum = real_forward(field)
+        if len(calls) == 3:
+            spectrum[0, 0] = np.nan
+        return spectrum
+
+    monkeypatch.setattr(retrieval, "forward_transform", forward_with_nan_at_3)
+    engine = run_hio if kind == "none" else run_sparse_hio
+    cfg = RetrievalConfig(n_iterations=50, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
+    with pytest.raises(FloatingPointError, match="iteration 3 of 50"):
+        engine(magnitude, mask, cfg)
+    assert len(calls) == 3
+
+
+def test_rejects_all_zero_magnitude():
+    _, mask, magnitude = small_problem()
+    with pytest.raises(ValueError, match="all zero"):
+        run_hio(np.zeros_like(magnitude), mask,
+                RetrievalConfig(n_iterations=1, penalty=PenaltySpec(kind="none")))

@@ -1,16 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsepr import sparsity
 from sparsepr.sparsity import (
+    EPSILON_FLOOR,
     PenaltySpec,
     backtracking_step,
     discrete_divergence,
     discrete_gradient,
+    gradient_of,
     huber_gradient,
     huber_value,
     select_delta,
     smoothed_tv_value,
     sparsity_descent,
+    support_window,
     tv_gradient,
     tv_value,
 )
@@ -62,6 +70,17 @@ def test_adjoint_identity():
     rhs = -np.vdot(f, discrete_divergence(px, py))
     scale = np.linalg.norm(f) * (np.linalg.norm(px) + np.linalg.norm(py))
     assert abs(lhs - rhs) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+def test_adjoint_identity_on_one_wide_grids(shape):
+    f = random_field(shape, 4)
+    px = random_field(shape, 5)
+    py = random_field(shape, 6)
+    gx, gy = discrete_gradient(f)
+    lhs = np.vdot(gx, px) + np.vdot(gy, py)
+    rhs = -np.vdot(f, discrete_divergence(px, py))
+    assert abs(lhs - rhs) < 1e-12 * np.linalg.norm(f) * (np.linalg.norm(px) + np.linalg.norm(py))
 
 
 def test_divergence_of_gradient_of_delta_is_laplacian():
@@ -288,6 +307,166 @@ def test_descent_zero_steps_is_identity():
     mask = np.ones((8, 8), dtype=bool)
     out = sparsity_descent(f, mask, PenaltySpec(kind="tv", n_inner_steps=0))
     assert np.array_equal(out, f)
+
+
+def test_descent_accepts_a_support_window():
+    f = random_field((16, 16), 54)
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[4:11, 5:12] = True
+    mask[6, 5] = False
+    spec = PenaltySpec(kind="huber", n_inner_steps=4)
+    by_mask = sparsity_descent(f, mask, spec)
+    assert np.array_equal(sparsity_descent(f, support_window(mask), spec), by_mask)
+    assert tv_value(by_mask, support_window(mask)) == tv_value(by_mask, mask)
+    with pytest.raises(ValueError):
+        sparsity_descent(f[:-1], support_window(mask), spec)
+
+
+def test_carried_gradient_gives_the_same_bits():
+    f = random_field((12, 10), 55)
+    mask = np.zeros((12, 10), dtype=bool)
+    mask[3:9, 2:8] = True
+    mask[4, 2] = False
+    window = support_window(mask)
+    sub = f[window.rows, window.cols]
+    grad, sub_grad = gradient_of(f), gradient_of(sub)
+    pairs = [
+        (tv_gradient(f, 1e-3), tv_gradient(f, 1e-3, grad)),
+        (huber_gradient(f, 0.7), huber_gradient(f, 0.7, grad)),
+        (smoothed_tv_value(f, 1e-3, mask), smoothed_tv_value(f, 1e-3, window, sub_grad)),
+        (huber_value(f, 0.7, mask), huber_value(f, 0.7, window, sub_grad)),
+        (select_delta(f, mask), select_delta(f, window, sub_grad)),
+        (select_delta(f), select_delta(f, None, grad)),
+    ]
+    for plain, carried in pairs:
+        assert np.asarray(plain).tobytes() == np.asarray(carried).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["tv", "huber"])
+def test_descent_steps_through_the_public_functions(monkeypatch, kind):
+    """Each inner step calls the penalty's gradient function once and one
+    backtracking_step, whose trials go through the penalty's value function."""
+    calls = []
+    depth = []
+
+    def count(name):
+        fn = getattr(sparsity, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, bool(depth)))
+            depth.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(sparsity, name, counted)
+
+    names = ("tv_gradient", "smoothed_tv_value", "backtracking_step") if kind == "tv" else (
+        "huber_gradient", "huber_value", "select_delta", "backtracking_step")
+    for name in names:
+        count(name)
+    f = _step_edge_with_noise(seed=56)
+    sparsity_descent(f, np.ones(f.shape, dtype=bool), PenaltySpec(kind=kind, n_inner_steps=5))
+    assert calls.count((names[0], False)) == 5
+    assert calls.count(("backtracking_step", False)) == 5
+    assert calls.count((names[1], True)) >= 5  # trials, inside the line search
+    if kind == "huber":
+        assert calls.count(("select_delta", False)) == 5
+
+
+# ------------------------------------------------------------ descent properties
+
+def reference_descent(field, mask, spec):
+    """The descent block composed from the public functions: per step one
+    tv_gradient or select_delta + huber_gradient, then backtracking_step
+    with the penalty's own value function."""
+    f = np.asarray(field)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    win = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    sub = f[win].copy()
+    submask = mask[win]
+    if spec.kind == "tv":
+        eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+    for _ in range(spec.n_inner_steps):
+        if spec.kind == "tv":
+            grad = tv_gradient(sub, eps)
+            penalty = lambda g: smoothed_tv_value(g, eps, submask)  # noqa: E731
+        else:
+            if spec.delta_rule == "median":
+                delta = select_delta(sub, submask)
+            else:
+                delta = float(spec.delta_rule)
+            grad = huber_gradient(sub, delta)
+            penalty = lambda g, d=delta: huber_value(g, d, submask)  # noqa: E731
+        direction = np.where(submask, -grad, 0)
+        if not direction.any():
+            break
+        t = backtracking_step(sub, direction, penalty, spec)
+        if t == 0.0:
+            break
+        sub = sub + t * direction
+    out = f.copy()
+    out[win] = np.where(submask, sub, out[win])
+    return out
+
+
+@st.composite
+def descent_cases(draw):
+    """A small complex field, a rectangular or ragged mask and a PenaltySpec.
+
+    Large t_init values make the line search reject trials; `flat` fields
+    have a zero gradient on part or all of the window."""
+    h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = draw(st.sampled_from([1e-3, 1.0, 50.0])) * (
+        rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)))
+    if draw(st.booleans()):
+        field[: draw(st.integers(0, h)), :] = 1 + 2j  # flat rows
+    if draw(st.booleans()):
+        y0, y1 = sorted(draw(st.lists(st.integers(0, h), min_size=2, max_size=2, unique=True)))
+        x0, x1 = sorted(draw(st.lists(st.integers(0, w), min_size=2, max_size=2, unique=True)))
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y0:y1, x0:x1] = True
+    else:
+        mask = rng.random((h, w)) < draw(st.floats(0.2, 0.9))
+        mask[rng.integers(h), rng.integers(w)] = True
+    kind = draw(st.sampled_from(["tv", "huber"]))
+    spec = PenaltySpec(
+        kind=kind,
+        n_inner_steps=draw(st.integers(1, 6)),
+        delta_rule=draw(st.sampled_from(["median", 0.05, 1.0, 20.0])),
+        ls_shrink=draw(st.sampled_from([0.5, 0.1])),
+        t_init=draw(st.sampled_from([0.02, 1.0, 50.0])),
+    )
+    return field, mask, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(descent_cases())
+def test_descent_is_bit_equal_to_public_composition(case):
+    field, mask, spec = case
+    carried = sparsity_descent(field, mask, spec)
+    reference = reference_descent(field, mask, spec)
+    assert carried.dtype == reference.dtype
+    assert carried.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(descent_cases())
+def test_descent_step_never_raises_the_penalty(case):
+    field, mask, spec = case
+    window = support_window(mask)
+    sub = field[window.rows, window.cols]
+    if spec.kind == "tv":
+        eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+        penalty = lambda g: smoothed_tv_value(g, eps, mask)  # noqa: E731
+    else:
+        delta = select_delta(field, mask) if spec.delta_rule == "median" else spec.delta_rule
+        penalty = lambda g: huber_value(g, delta, mask)  # noqa: E731
+    one_step = dataclasses.replace(spec, n_inner_steps=1)
+    assert penalty(sparsity_descent(field, mask, one_step)) <= penalty(field)
 
 
 def test_penalty_spec_validation():
