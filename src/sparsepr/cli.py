@@ -248,6 +248,12 @@ def _sweep_cell(payload):
     return alg, seed, report
 
 
+# Keys a sweep config may set under "retrieval"; any other key is a usage
+# error, so a typo cannot silently fall back to a default.
+SWEEP_RETRIEVAL_KEYS = frozenset(
+    {"beta", "n_iterations", "n_inner_steps", "epsilon", "delta", "t_init"})
+
+
 def _sweep_penalty(alg: str, base: dict) -> PenaltySpec:
     if alg == "hio":
         return PenaltySpec(kind="none")
@@ -285,6 +291,9 @@ def cmd_sweep(args) -> int:
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {alg!r}")
+    unknown = sorted(set(base) - SWEEP_RETRIEVAL_KEYS)
+    if unknown:
+        raise UsageError(f"unknown retrieval keys in sweep config: {', '.join(unknown)}")
     base.setdefault("beta", 0.9)
     base.setdefault("n_iterations", 500)
 
@@ -337,6 +346,10 @@ def cmd_sweep(args) -> int:
     _dump_json(out_dir / "aggregate.json", aggregate)
     print(f"sweep complete: {len(results)} cells ok, {len(failures)} failed; "
           f"aggregate.json in {out_dir}")
+    if failures:
+        print(f"error: {len(failures)} of {len(cells)} sweep cells failed; "
+              "see failures in aggregate.json", file=sys.stderr)
+        return EXIT_DATA
     return 0
 
 

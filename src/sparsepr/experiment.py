@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import as_mask, bounding_box, check_same_shape
+from .grids import as_mask, bounding_box, check_same_shape, l2_norm
 from .sparsity import huber_value, select_delta, tv_value
 
 DEFAULT_TWIN_THRESHOLD = 0.35
@@ -103,7 +103,10 @@ MAX_PHANTOM_DRAWS = 500
 
 def _xor_rectangles(rng, s: int) -> np.ndarray:
     """XOR of 14 random axis-aligned rectangles: letter-like two-level art."""
-    lo, hi = max(2, s // 10), max(3, s // 3)
+    # Capped at s so that a rectangle fits a 2-pixel support; the bounds
+    # (and so every phantom) are unchanged for s >= 4.
+    hi = min(s, max(3, s // 3))
+    lo = min(hi, max(2, s // 10))
     levels = np.zeros((s, s), dtype=bool)
     for _ in range(14):
         w = int(rng.integers(lo, hi + 1))
@@ -211,9 +214,9 @@ def twin_correlations(recon, truth, mask,
     m = as_mask(mask)
     check_same_shape(r, t, m)
     tw = flip_conjugate(t)
-    r_norm = np.linalg.norm(r[m])
-    t_norm = np.linalg.norm(t[m])
-    tw_norm = np.linalg.norm(tw[m])
+    r_norm = l2_norm(r[m])
+    t_norm = l2_norm(t[m])
+    tw_norm = l2_norm(tw[m])
     if r_norm == 0 or t_norm == 0 or tw_norm == 0:
         raise ValueError("degenerate norms in twin correlation")
     c_up = abs(np.sum(r[m] * np.conj(t[m]))) / (r_norm * t_norm)

@@ -41,6 +41,20 @@ def as_mask(a) -> np.ndarray:
     return m
 
 
+def l2_norm(a) -> float:
+    """Euclidean norm of all samples of a real or complex array.
+
+    A ufunc reduction rather than numpy's norm, whose BLAS dot runs on
+    every core for large arrays (oversubscribing parallel sweep workers)
+    and rounds according to the BLAS kernel and thread count. This result
+    depends on neither.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return float(np.sqrt(np.sum(a.real * a.real) + np.sum(a.imag * a.imag)))
+    return float(np.sqrt(np.sum(a * a)))
+
+
 def check_same_shape(*arrays) -> None:
     shapes = {np.asarray(a).shape for a in arrays}
     if len(shapes) > 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import as_mask, check_same_shape
+from .grids import as_mask, check_same_shape, l2_norm
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
 
@@ -102,7 +102,7 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = sparse and config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
-    mag_norm = np.linalg.norm(mag)
+    mag_norm = l2_norm(mag)
 
     for n in range(config.n_iterations):
         step_mask, step_window = m, window
@@ -112,9 +112,15 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
         g = hio_update(g, g_hat, step_mask, config.beta)
         if do_descent:
             g = sparsity_descent(g, step_window, config.penalty)
-        big_g = forward_transform(g)
-        big_g_mag = np.abs(big_g)
-        residual_trace[n] = float(np.linalg.norm(big_g_mag - mag) / mag_norm)
+        try:
+            big_g = forward_transform(g)
+        except ValueError as exc:
+            # g has the grid's shape, so the only objection left is a
+            # non-finite sample written by the support update or the descent.
+            raise FloatingPointError(
+                f"non-finite field at iteration {n + 1} of {config.n_iterations}"
+            ) from exc
+        residual_trace[n] = l2_norm(np.abs(big_g) - mag) / mag_norm
         # A NaN or inf anywhere in the spectrum makes the residual non-finite,
         # so a blow-up stops the run at the iteration where it happens.
         if not np.isfinite(residual_trace[n]):

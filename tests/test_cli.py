@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from sparsepr import retrieval
 from sparsepr.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_USAGE,
     magnitude_preview,
     main,
@@ -81,6 +83,14 @@ def test_phantom_self_twin_step_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ph").exists()
 
 
+def test_phantom_two_pixel_support_is_usage_error(tmp_path, capsys):
+    code = main(["phantom", "--size", "8", "--support", "2",
+                 "--out", str(tmp_path / "ph")])
+    assert code == EXIT_USAGE
+    assert "distinguishable from its twin" in capsys.readouterr().err
+    assert not (tmp_path / "ph").exists()
+
+
 def test_forward_command(tmp_path):
     truth, _, magnitude = make_inputs(tmp_path)
     out = tmp_path / "fw"
@@ -144,6 +154,25 @@ def test_retrieve_sparse_matches_library(tmp_path):
         RetrievalConfig(n_iterations=4, seed=2, penalty=PenaltySpec(kind="tv")),
     ).final_field
     assert np.array_equal(recon, expected)
+
+
+def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys):
+    make_inputs(tmp_path)
+    real_descent = retrieval.sparsity_descent
+
+    def descent_with_nan(g, window, spec):
+        g = real_descent(g, window, spec)
+        g[window.rows.start, window.cols.start] = np.nan
+        return g
+
+    monkeypatch.setattr(retrieval, "sparsity_descent", descent_with_nan)
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", "hio-tv", "--iters", "4", "--ntv", "2",
+                 "--out", str(tmp_path / "nan")])
+    assert code == EXIT_NUMERIC
+    assert "non-finite field at iteration 1 of 4" in capsys.readouterr().err
 
 
 def test_retrieve_bad_flag_values(tmp_path):
@@ -235,3 +264,23 @@ def test_sweep_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+
+
+def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-tv"])
+    payload = json.loads(cfg.read_text())
+    payload["retrieval"]["n_iner_steps"] = 3
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+    assert "n_iner_steps" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists()
+
+
+def test_sweep_with_failed_cells_exits_data_after_aggregate(tmp_path):
+    # n_iterations 0 fails inside every cell, not before the sweep starts
+    cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio"], iters=0)
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_DATA
+    aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
+    assert [(f["algorithm"], f["seed"]) for f in aggregate["failures"]] == [("hio", 0), ("hio", 1)]
+    assert all("n_iterations" in f["error"] for f in aggregate["failures"])
+    assert aggregate["algorithms"] == {}

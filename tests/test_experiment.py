@@ -1,8 +1,10 @@
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from sparsepr import experiment
 from sparsepr.experiment import (
     PhantomSpec,
     align_global_phase,
@@ -156,6 +158,27 @@ def test_self_twin_phantom_fails_fast(kind, overrides):
     with pytest.raises(ValueError, match="distinguishable from its twin"):
         generate(spec)
     assert time.perf_counter() - start < 0.9
+
+
+@pytest.mark.parametrize("kind", ["binary", "gray"])
+def test_two_pixel_support_fails_with_the_documented_error(kind):
+    # rectangles of the generator's minimum size must fit a 2-pixel block;
+    # there every draw is flat, so the draw budget runs out
+    spec = PhantomSpec(image_size=8, support_size=2, kind=kind)
+    generate = binary_phase_phantom if kind == "binary" else gray_phase_phantom
+    with pytest.raises(ValueError, match="distinguishable from its twin in 500 draws"):
+        generate(spec)
+
+
+def test_rectangle_art_unchanged_for_supports_of_four_and_more():
+    # digest of the two-level patterns drawn before rectangle sizes were capped
+    digest = hashlib.sha256()
+    for s in (4, 6, 12, 60):
+        rng = np.random.default_rng(s)
+        for _ in range(3):
+            digest.update(experiment._xor_rectangles(rng, s).tobytes())
+    assert digest.hexdigest() == (
+        "868e2a6c70cb7aeafa9b0d994ecd33c1dc6da89a8416b334fc75f42a7b124bbc")
 
 
 # ------------------------------------------------------------ twin algebra

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepr.grids import as_complex_field, as_mask, bounding_box, is_centrosymmetric
+from sparsepr.grids import as_complex_field, as_mask, bounding_box, is_centrosymmetric, l2_norm
 
 
 def test_rejects_nan():
@@ -55,3 +55,30 @@ def test_centrosymmetric_positive_case():
     m = np.zeros((8, 8), dtype=bool)
     m[3:5, 3:5] = True
     assert is_centrosymmetric(m)
+
+
+def _loop_norm(a):
+    return float(np.sqrt(sum(abs(complex(v)) ** 2 for v in np.ravel(a))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    width=st.integers(1, 40),
+    height=st.integers(1, 40),
+    complex_=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_l2_norm_matches_loop_reference(width, height, complex_, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(height, width))
+    if complex_:
+        a = a + 1j * rng.normal(size=(height, width))
+    # summation order differs from the loop: a relative error of a few
+    # ulps per term bounds the difference for at most 1,600 terms
+    assert l2_norm(a) == pytest.approx(_loop_norm(a), rel=1e-12)
+
+
+def test_l2_norm_exact_cases():
+    assert l2_norm(np.zeros((3, 3), dtype=np.complex128)) == 0.0
+    assert l2_norm(np.array([[3.0, 4.0]])) == 5.0
+    assert l2_norm(np.array([3 + 4j, 0j])) == 5.0

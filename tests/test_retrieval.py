@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,6 +241,62 @@ def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
     with pytest.raises(FloatingPointError, match="iteration 3 of 50"):
         engine(magnitude, mask, cfg)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("target, kind", [("hio_update", "none"), ("sparsity_descent", "tv")])
+def test_non_finite_iterate_is_a_numerical_failure(monkeypatch, target, kind):
+    # a NaN that the support update or the descent writes into the field is
+    # a numerical failure at that iteration, not bad input data
+    _, mask, magnitude = small_problem()
+    real_step = getattr(retrieval, target)
+    calls = []
+
+    def step_with_nan_at_2(*args):
+        calls.append(1)
+        g = real_step(*args)
+        if len(calls) == 2:
+            g[mask] = np.nan
+        return g
+
+    monkeypatch.setattr(retrieval, target, step_with_nan_at_2)
+    engine = run_hio if kind == "none" else run_sparse_hio
+    cfg = RetrievalConfig(n_iterations=50, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
+    with pytest.raises(FloatingPointError, match="non-finite field at iteration 2 of 50"):
+        engine(magnitude, mask, cfg)
+    assert len(calls) == 2
+
+
+# ------------------------------------------------------------ BLAS independence
+
+_TRACE_SCRIPT = """
+import sparsepr as sp
+spec = sp.PhantomSpec(image_size=128, support_size=60, pattern_seed=1)
+truth = sp.binary_phase_phantom(spec)
+mask = sp.make_support(128, 60)
+magnitude = sp.magnitude_of(sp.forward_transform(truth))
+config = sp.RetrievalConfig(n_iterations=20, seed=0, penalty=sp.PenaltySpec(kind="none"))
+report = sp.run_hio(magnitude, mask, config)
+metrics = sp.twin_correlations(report.final_field, truth, mask)
+print(report.fourier_residual_trace.tobytes().hex())
+print(metrics.c_up.hex(), metrics.c_twin.hex())
+"""
+
+
+def test_traces_do_not_depend_on_blas_threads():
+    # 128x128 = 16,384 samples, above the 10,000 at which OpenBLAS spreads a
+    # dot product over threads; the residual once came from such a dot, and
+    # its rounding changed with the thread count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _TRACE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2
 
 
 def test_rejects_all_zero_magnitude():
