@@ -15,6 +15,7 @@ from .retrieval import (
     RetrievalConfig,
     RunReport,
     hio_update,
+    penalty_value,
     random_phase_init,
     run_hio,
     run_sparse_hio,

@@ -9,6 +9,8 @@ wall-clock value in any report is the timing field. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -135,40 +137,30 @@ def cmd_forward(args) -> int:
 
 # ---------------------------------------------------------------- retrieve
 
-ALGORITHMS = ("hio", "hio-tv", "hio-huber")
+# Algorithm name -> the penalty kind of its PenaltySpec ("none" is plain HIO).
+ALGORITHMS = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}
+
+# Penalty settings -> the PenaltySpec field each sets. A setting is a
+# `retrieve` flag's destination and a key of a sweep's "retrieval" object.
+PENALTY_SETTINGS = {
+    "n_inner_steps": "n_inner_steps",
+    "epsilon": "epsilon",
+    "delta": "delta_rule",
+    "t_init": "t_init",
+}
 
 
-def _penalty_from_args(alg: str, args) -> PenaltySpec:
-    if alg == "hio":
-        if args.ntv is not None:
-            print("warning: --ntv ignored for --alg hio (no penalty)", file=sys.stderr)
-        return PenaltySpec(kind="none")
-    kind = "tv" if alg == "hio-tv" else "huber"
-    kwargs = dict(kind=kind)
-    if args.ntv is not None:
-        kwargs["n_inner_steps"] = args.ntv
-    if args.eps is not None:
-        kwargs["epsilon"] = args.eps
-    if args.delta is not None:
-        kwargs["delta_rule"] = "median" if args.delta == "median" else float(args.delta)
-    if args.tinit is not None:
-        kwargs["t_init"] = args.tinit
+def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
+    """The validated PenaltySpec of `alg` with the given penalty settings."""
+    if alg not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {alg!r}")
+    fields = {PENALTY_SETTINGS[name]: value for name, value in settings.items()}
     try:
-        return PenaltySpec(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _retrieval_config(alg: str, args) -> retrieval.RetrievalConfig:
-    try:
-        return retrieval.RetrievalConfig(
-            beta=args.beta,
-            n_iterations=args.iters,
-            seed=args.seed,
-            penalty=_penalty_from_args(alg, args),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        if fields.get("delta_rule", "median") != "median":
+            fields["delta_rule"] = float(fields["delta_rule"])
+        return PenaltySpec(kind=ALGORITHMS[alg], **fields)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid penalty settings for {alg}: {exc}") from exc
 
 
 def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
@@ -179,31 +171,32 @@ def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
         "seed": config.seed,
     }
     if config.penalty.kind != "none":
-        echo.update(
-            penalty=config.penalty.kind,
-            n_inner_steps=config.penalty.n_inner_steps,
-            epsilon=config.penalty.epsilon,
-            delta_rule=config.penalty.delta_rule,
-            ls_alpha=config.penalty.ls_alpha,
-            ls_shrink=config.penalty.ls_shrink,
-            t_init=config.penalty.t_init,
-        )
+        penalty = asdict(config.penalty)
+        echo["penalty"] = penalty.pop("kind")
+        echo.update(penalty)
     return echo
 
 
-def _run_algorithm(alg, magnitude, mask, config) -> retrieval.RunReport:
-    if alg == "hio":
-        return retrieval.run_hio(magnitude, mask, config)
-    return retrieval.run_sparse_hio(magnitude, mask, config)
+def _run_engine(magnitude, mask, config) -> retrieval.RunReport:
+    engine = retrieval.run_hio if config.penalty.kind == "none" else retrieval.run_sparse_hio
+    return engine(magnitude, mask, config)
 
 
 def cmd_retrieve(args) -> int:
-    if args.alg not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {args.alg!r}")
-    config = _retrieval_config(args.alg, args)
+    settings = {name: getattr(args, name) for name in PENALTY_SETTINGS
+                if getattr(args, name) is not None}
+    penalty = _penalty_spec(args.alg, settings)
+    if penalty.kind == "none":
+        for name in settings:
+            print(f"warning: {name} ignored for --alg {args.alg} (no penalty)", file=sys.stderr)
+    try:
+        config = retrieval.RetrievalConfig(
+            beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     magnitude = _load_field(args.magnitude).real
     mask = _load_mask(args.mask)
-    report = _run_algorithm(args.alg, magnitude, mask, config)
+    report = _run_engine(magnitude, mask, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_field_file(report.final_field, out / "recon.prf1")
@@ -225,15 +218,10 @@ def cmd_retrieve(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_cell(payload):
-    """One (algorithm, seed) cell; runs in a worker process."""
-    alg, seed, magnitude, mask, base, out_dir = payload
-    config = retrieval.RetrievalConfig(
-        beta=base["beta"],
-        n_iterations=base["n_iterations"],
-        seed=seed,
-        penalty=_sweep_penalty(alg, base),
-    )
-    report = _run_algorithm(alg, magnitude, mask, config)
+    """One (algorithm, seed) cell; runs in a worker process unless --jobs is 1."""
+    alg, seed, penalty, loop, magnitude, mask, out_dir = payload
+    config = retrieval.RetrievalConfig(seed=seed, penalty=penalty, **loop)
+    report = _run_engine(magnitude, mask, config)
     stem = f"recon_{alg}_{seed:08d}"
     write_field_file(report.final_field, Path(out_dir) / f"{stem}.prf1")
     _dump_json(
@@ -245,31 +233,12 @@ def _sweep_cell(payload):
             "wall_time_s": report.wall_time,
         },
     )
-    return alg, seed, report
-
-
-# Keys a sweep config may set under "retrieval"; any other key is a usage
-# error, so a typo cannot silently fall back to a default.
-SWEEP_RETRIEVAL_KEYS = frozenset(
-    {"beta", "n_iterations", "n_inner_steps", "epsilon", "delta", "t_init"})
-
-
-def _sweep_penalty(alg: str, base: dict) -> PenaltySpec:
-    if alg == "hio":
-        return PenaltySpec(kind="none")
-    kind = "tv" if alg == "hio-tv" else "huber"
-    delta = base.get("delta", "median")
-    spec = PenaltySpec()
-    return PenaltySpec(
-        kind=kind,
-        n_inner_steps=base.get("n_inner_steps", spec.n_inner_steps),
-        epsilon=base.get("epsilon", spec.epsilon),
-        delta_rule=delta if delta == "median" else float(delta),
-        t_init=base.get("t_init", spec.t_init),
-    )
+    return report
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -286,16 +255,18 @@ def cmd_sweep(args) -> int:
         out_dir = Path(args.out or cfg["output_dir"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid sweep config: {exc}") from exc
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise UsageError("seeds must be nonempty and distinct")
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {alg!r}")
-    unknown = sorted(set(base) - SWEEP_RETRIEVAL_KEYS)
+    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise UsageError("seeds must be nonempty, distinct and >= 0")
+    # Any other key is a usage error, so a typo cannot silently fall back
+    # to a default.
+    unknown = sorted(set(base) - {"beta", "n_iterations"} - set(PENALTY_SETTINGS))
     if unknown:
         raise UsageError(f"unknown retrieval keys in sweep config: {', '.join(unknown)}")
-    base.setdefault("beta", 0.9)
-    base.setdefault("n_iterations", 500)
+    settings = {name: base[name] for name in PENALTY_SETTINGS if name in base}
+    penalties = {alg: _penalty_spec(alg, settings) for alg in algorithms}
+    # beta and n_iterations are checked per cell, so a bad value shows up
+    # as cell failures in aggregate.json.
+    loop = {name: base[name] for name in ("beta", "n_iterations") if name in base}
 
     truth = _make_phantom(phantom)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,28 +277,22 @@ def cmd_sweep(args) -> int:
     write_field_file(magnitude, out_dir / "magnitude.prf1")
 
     cells = [
-        (alg, seed, magnitude, mask, base, str(out_dir))
+        (alg, seed, penalties[alg], loop, magnitude, mask, str(out_dir))
         for alg in algorithms
         for seed in seeds
     ]
     results = {}
     failures = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_sweep_cell, cell): cell for cell in cells}
-            for fut, cell in futures.items():
-                try:
-                    alg, seed, report = fut.result()
-                    results[(alg, seed)] = report
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    failures[(cell[0], cell[1])] = str(exc)
-    else:
-        for cell in cells:
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        # --jobs 1 runs each cell in this process when its result is read.
+        outcomes = [pool.submit(_sweep_cell, cell).result if pool
+                    else functools.partial(_sweep_cell, cell) for cell in cells]
+        for (alg, seed, *_), outcome in zip(cells, outcomes):
             try:
-                alg, seed, report = _sweep_cell(cell)
-                results[(alg, seed)] = report
+                results[(alg, seed)] = outcome()
             except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                failures[(cell[0], cell[1])] = str(exc)
+                failures[(alg, seed)] = str(exc)
 
     aggregate = {"phantom": asdict(phantom), "algorithms": {}, "failures": [
         {"algorithm": a, "seed": s, "error": msg}
@@ -337,10 +302,9 @@ def cmd_sweep(args) -> int:
         reports = [results[(alg, s)] for s in sorted(seeds) if (alg, s) in results]
         if not reports:
             continue
-        kind = "huber" if alg == "hio-huber" else "tv"
         summary = experiment.run_statistics(
             reports, truth, mask,
-            twin_threshold=args.twin_threshold, penalty_kind=kind,
+            twin_threshold=args.twin_threshold, penalty=penalties[alg],
         )
         aggregate["algorithms"][alg] = asdict(summary)
     _dump_json(out_dir / "aggregate.json", aggregate)
@@ -405,10 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=ALGORITHMS, default="hio-tv")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--beta", type=float, default=0.9)
-    p.add_argument("--ntv", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--ntv", dest="n_inner_steps", type=int, default=None,
+                   help="descent steps per iteration")
+    p.add_argument("--eps", dest="epsilon", type=float, default=None,
+                   help="TV smoothing, relative to the field's max modulus")
     p.add_argument("--delta", default=None, help="'median' or a fixed value")
-    p.add_argument("--tinit", type=float, default=None,
+    p.add_argument("--tinit", dest="t_init", type=float, default=None,
                    help="line-search initial trial step")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")

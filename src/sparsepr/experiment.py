@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import as_mask, bounding_box, check_same_shape, l2_norm
-from .sparsity import huber_value, select_delta, tv_value
+from .retrieval import penalty_value
+from .sparsity import PenaltySpec
 
 DEFAULT_TWIN_THRESHOLD = 0.35
 
@@ -88,12 +89,6 @@ def triangular_truncation(mask) -> np.ndarray:
     return out
 
 
-def _support_slices(spec: PhantomSpec):
-    start = (spec.image_size - spec.support_size) // 2
-    stop = start + spec.support_size
-    return slice(start, stop), slice(start, stop)
-
-
 # Rejection-sampling budget of the phantom generators. At the default
 # phase step about one draw in three is accepted (at most 44 draws over
 # 2,400 seeds and sizes); a binary step below about 1.9 rad, or any
@@ -137,8 +132,7 @@ def _sample_distinct_block(draw, spec: PhantomSpec) -> np.ndarray:
 
 def _embed(block, spec: PhantomSpec) -> np.ndarray:
     field = np.zeros((spec.image_size, spec.image_size), dtype=np.complex128)
-    sy, sx = _support_slices(spec)
-    field[sy, sx] = block
+    field[make_support(spec.image_size, spec.support_size)] = block.ravel()
     return field
 
 
@@ -247,18 +241,14 @@ def phase_rmse(recon, truth, mask) -> float:
     return min(errors)
 
 
-def final_penalty(report, mask, kind: str = "tv") -> float:
-    """In-support penalty of a run's final field (TV unless kind == 'huber')."""
-    f = report.final_field
-    if kind == "huber":
-        return huber_value(f, select_delta(f, mask), mask)
-    return tv_value(f, mask)
-
-
 def run_statistics(reports, truth, mask,
                    twin_threshold: float = DEFAULT_TWIN_THRESHOLD,
-                   penalty_kind: str = "tv") -> RunSummary:
-    """Mean/std of final in-support penalties and twin statistics for a batch."""
+                   penalty: PenaltySpec = PenaltySpec()) -> RunSummary:
+    """Mean/std of final in-support penalties and twin statistics for a batch.
+
+    `penalty` is the runs' PenaltySpec; a final penalty is its
+    `penalty_value` (TV for plain HIO), as in the runs' penalty traces.
+    """
     if not reports:
         raise ValueError("need at least one report")
     per_run = []
@@ -266,7 +256,7 @@ def run_statistics(reports, truth, mask,
     twin_count = 0
     for rep in reports:
         metrics = twin_correlations(rep.final_field, truth, mask, twin_threshold)
-        p = final_penalty(rep, mask, penalty_kind)
+        p = penalty_value(rep.final_field, mask, penalty)
         penalties.append(p)
         twin_count += int(metrics.twin_present)
         per_run.append(

@@ -19,16 +19,6 @@ def as_complex_field(a) -> np.ndarray:
     return f
 
 
-def as_real_grid(a) -> np.ndarray:
-    """Validate and return a 2D float64 grid, all finite."""
-    g = np.asarray(a, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError(f"grid must be 2D, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grid contains non-finite samples")
-    return g
-
-
 def as_mask(a) -> np.ndarray:
     """Validate and return a 2D boolean support mask with at least one true pixel."""
     m = np.asarray(a)

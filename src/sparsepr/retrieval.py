@@ -31,6 +31,8 @@ class RetrievalConfig:
             raise ValueError("beta must be in (0, 1]")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -69,14 +71,20 @@ def zero_outside_support(field, mask) -> np.ndarray:
     return np.where(m, f, 0)
 
 
-def _penalty_of(g, window, spec: PenaltySpec) -> float:
+def penalty_value(field, region, spec: PenaltySpec) -> float:
+    """In-support penalty of `field` for `spec`: the Huber penalty with the
+    spec's delta rule for kind "huber", total variation for any other kind.
+
+    `region` is a mask or a SupportWindow. This is the value of a run's
+    penalty trace and of every reported final penalty.
+    """
     if spec.kind == "huber":
-        delta = select_delta(g, window) if spec.delta_rule == "median" else float(spec.delta_rule)
-        return huber_value(g, delta, window)
-    return tv_value(g, window)
+        delta = select_delta(field, region) if spec.delta_rule == "median" else float(spec.delta_rule)
+        return huber_value(field, delta, region)
+    return tv_value(field, region)
 
 
-def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
+def _run_loop(magnitude, mask, config: RetrievalConfig, *,
               initial_mask=None, initial_iterations: int = 0) -> RunReport:
     mag = np.asarray(magnitude, dtype=np.float64)
     m = as_mask(mask)
@@ -101,7 +109,7 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
     g = np.zeros_like(spectrum)
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
-    do_descent = sparse and config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
+    do_descent = config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
     mag_norm = l2_norm(mag)
 
     for n in range(config.n_iterations):
@@ -127,7 +135,7 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *, sparse: bool,
             raise FloatingPointError(
                 f"non-finite Fourier residual at iteration {n + 1} of {config.n_iterations}"
             )
-        penalty_trace[n] = _penalty_of(g, window, config.penalty)
+        penalty_trace[n] = penalty_value(g, window, config.penalty)
         spectrum = impose_magnitude(big_g, mag)
 
     return RunReport(
@@ -150,7 +158,7 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     """
     if config.penalty.kind != "none":
         raise ValueError("run_hio requires penalty kind 'none'")
-    return _run_loop(magnitude, mask, config, sparse=False,
+    return _run_loop(magnitude, mask, config,
                      initial_mask=initial_mask, initial_iterations=initial_iterations)
 
 
@@ -160,4 +168,4 @@ def run_sparse_hio(magnitude, mask, config: RetrievalConfig) -> RunReport:
     transform, magnitude replacement."""
     if config.penalty.kind not in ("tv", "huber"):
         raise ValueError("run_sparse_hio requires penalty kind 'tv' or 'huber'")
-    return _run_loop(magnitude, mask, config, sparse=True)
+    return _run_loop(magnitude, mask, config)

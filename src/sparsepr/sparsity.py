@@ -15,6 +15,7 @@ gradients pass finite-difference checks to machine-level accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("none", "tv", "huber"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
+        if isinstance(self.n_inner_steps, bool) or not isinstance(self.n_inner_steps, Integral):
+            raise ValueError(f"n_inner_steps must be an integer, got {self.n_inner_steps!r}")
         if self.n_inner_steps < 0:
             raise ValueError("n_inner_steps must be >= 0")
         if not self.epsilon > 0:

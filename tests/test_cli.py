@@ -130,10 +130,11 @@ def test_retrieve_warns_on_ignored_ntv(tmp_path, capsys):
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
                  "--mask", str(tmp_path / "support.prf1"),
-                 "--alg", "hio", "--iters", "2", "--ntv", "5",
+                 "--alg", "hio", "--iters", "2", "--ntv", "5", "--eps", "1e-6",
                  "--out", str(tmp_path / "warn")])
     assert code == 0
-    assert "ignored" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "n_inner_steps ignored" in err and "epsilon ignored" in err
 
 
 def test_retrieve_sparse_matches_library(tmp_path):
@@ -183,6 +184,17 @@ def test_retrieve_bad_flag_values(tmp_path):
                  "--alg", "hio-tv", "--iters", "0",
                  "--out", str(tmp_path / "bad")])
     assert code == EXIT_USAGE
+
+
+def test_retrieve_negative_seed_is_usage_error(tmp_path):
+    make_inputs(tmp_path)
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", "hio", "--iters", "2", "--seed", "-1",
+                 "--out", str(tmp_path / "bad")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "bad").exists()
 
 
 def test_metrics_command(tmp_path, capsys):
@@ -251,6 +263,19 @@ def test_sweep_rejects_duplicate_seeds(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_sweep_rejects_negative_seeds(tmp_path):
+    cfg = sweep_config(tmp_path, seeds=[0, -1], algorithms=["hio"])
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+    assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == EXIT_USAGE
+    assert not (tmp_path / "sweep_out").exists()
+
+
 def test_sweep_rejects_unknown_algorithm(tmp_path):
     cfg = sweep_config(tmp_path, seeds=[0], algorithms=["er"])
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
@@ -274,6 +299,33 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
     assert "n_iner_steps" in capsys.readouterr().err
     assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", -1), ("delta", "foo"), ("t_init", 0), ("n_inner_steps", 2.5)])
+def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value):
+    cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
+    payload = json.loads(cfg.read_text())
+    payload["retrieval"][key] = value
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_USAGE
+    assert "invalid penalty settings" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists()
+
+
+def test_sweep_fixed_delta_huber_reports_one_final_penalty(tmp_path):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-huber"])
+    payload = json.loads(cfg.read_text())
+    payload["phantom"]["kind"] = "gray"
+    payload["retrieval"]["delta"] = 0.05
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out = tmp_path / "sweep_out"
+    cell = json.loads((out / "recon_hio-huber_00000000.json").read_text())
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    assert cell["config"]["delta_rule"] == 0.05
+    # The support is a square, so the trace's window is the support itself.
+    assert aggregate["algorithms"]["hio-huber"]["per_run"][0]["final_penalty"] == cell["final_penalty"]
 
 
 def test_sweep_with_failed_cells_exits_data_after_aggregate(tmp_path):

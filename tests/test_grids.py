@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsepr
 from sparsepr.grids import as_complex_field, as_mask, bounding_box, is_centrosymmetric, l2_norm
 
 
@@ -82,3 +86,17 @@ def test_l2_norm_exact_cases():
     assert l2_norm(np.zeros((3, 3), dtype=np.complex128)) == 0.0
     assert l2_norm(np.array([[3.0, 4.0]])) == 5.0
     assert l2_norm(np.array([3 + 4j, 0j])) == 5.0
+
+
+def test_package_makes_no_blas_call():
+    # A BLAS call in the loop runs on every core and oversubscribes parallel
+    # sweep workers, and its rounding depends on the BLAS build and thread
+    # count; every norm goes through l2_norm instead.
+    blas = re.compile(r"linalg|\.dot\(|vdot| @ ")
+    sources = sorted(Path(sparsepr.__file__).parent.glob("*.py"))
+    assert sources
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sources
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if blas.search(line)]
+    assert hits == []

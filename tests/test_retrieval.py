@@ -89,6 +89,8 @@ def test_config_validation():
         RetrievalConfig(beta=0.0)
     with pytest.raises(ValueError):
         RetrievalConfig(n_iterations=0)
+    with pytest.raises(ValueError):
+        RetrievalConfig(seed=-1)
 
 
 def test_run_hio_rejects_penalty_kind():

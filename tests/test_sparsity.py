@@ -480,3 +480,7 @@ def test_penalty_spec_validation():
         PenaltySpec(kind="huber", delta_rule=-1.0)
     with pytest.raises(ValueError):
         PenaltySpec(kind="tv", epsilon=0.0)
+    with pytest.raises(ValueError):
+        PenaltySpec(kind="tv", n_inner_steps=2.5)
+    with pytest.raises(ValueError):
+        PenaltySpec(kind="tv", n_inner_steps=True)
