@@ -156,8 +156,11 @@ def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
         raise UsageError(f"unknown algorithm {alg!r}")
     fields = {PENALTY_SETTINGS[name]: value for name, value in settings.items()}
     try:
-        if fields.get("delta_rule", "median") != "median":
-            fields["delta_rule"] = float(fields["delta_rule"])
+        # A `--delta` flag or a JSON string names a number; PenaltySpec
+        # checks everything else, bools included.
+        rule = fields.get("delta_rule", "median")
+        if isinstance(rule, str) and rule != "median":
+            fields["delta_rule"] = float(rule)
         return PenaltySpec(kind=ALGORITHMS[alg], **fields)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid penalty settings for {alg}: {exc}") from exc
@@ -248,15 +251,21 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"invalid sweep config JSON: {exc}") from exc
 
     try:
-        seeds = [int(s) for s in cfg["seeds"]]
+        seeds = list(cfg["seeds"])
         algorithms = list(cfg["algorithms"])
         phantom = experiment.PhantomSpec(**cfg["phantom"])
         base = dict(cfg.get("retrieval", {}))
         out_dir = Path(args.out or cfg["output_dir"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid sweep config: {exc}") from exc
-    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
-        raise UsageError("seeds must be nonempty, distinct and >= 0")
+    # A repeat would make two cells write the same files. Seeds are used
+    # as given, so a fractional or bool seed is refused, not truncated.
+    if not (seeds and all(type(s) is int and s >= 0 for s in seeds)
+            and len(set(seeds)) == len(seeds)):
+        raise UsageError(f"seeds must be nonempty, distinct integers >= 0, got {seeds}")
+    if not (algorithms and all(isinstance(a, str) for a in algorithms)
+            and len(set(algorithms)) == len(algorithms)):
+        raise UsageError(f"algorithms must be nonempty and distinct, got {algorithms}")
     # Any other key is a usage error, so a typo cannot silently fall back
     # to a default.
     unknown = sorted(set(base) - {"beta", "n_iterations"} - set(PENALTY_SETTINGS))

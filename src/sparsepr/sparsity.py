@@ -15,7 +15,7 @@ gradients pass finite-difference checks to machine-level accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,8 @@ class PenaltySpec:
     kind: "none", "tv" or "huber".
     n_inner_steps: gradient-descent steps per outer iteration.
     epsilon: TV smoothing, relative to the field's max modulus.
-    delta_rule: "median" (recomputed each descent step) or a fixed float.
+    delta_rule: "median" (recomputed each descent step) or a fixed real
+        number (not a bool), stored as a float.
     ls_alpha, ls_shrink, t_init: backtracking line-search constants.
 
     The default t_init is deliberately small. Inside the retrieval loop
@@ -70,8 +71,12 @@ class PenaltySpec:
         if isinstance(self.delta_rule, str):
             if self.delta_rule != "median":
                 raise ValueError(f"unknown delta rule {self.delta_rule!r}")
-        elif not float(self.delta_rule) > 0:
+        elif isinstance(self.delta_rule, bool) or not isinstance(self.delta_rule, Real):
+            raise ValueError(f"fixed delta must be a real number, got {self.delta_rule!r}")
+        elif not self.delta_rule > 0:
             raise ValueError("fixed delta must be > 0")
+        else:
+            object.__setattr__(self, "delta_rule", float(self.delta_rule))
 
 
 def discrete_gradient(field) -> tuple[np.ndarray, np.ndarray]:

@@ -263,6 +263,22 @@ def test_sweep_rejects_duplicate_seeds(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("seeds", [[0.5, 1.9], [0, True], [0, "1"], [1.0]])
+def test_sweep_rejects_non_integer_seeds(tmp_path, capsys, seeds):
+    cfg = sweep_config(tmp_path, seeds=seeds, algorithms=["hio"])
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+    assert "seeds must be" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("algorithms", [["hio", "hio"], ["hio-tv", "hio", "hio-tv"], []])
+def test_sweep_rejects_repeated_or_no_algorithms(tmp_path, capsys, algorithms):
+    cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=algorithms)
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_USAGE
+    assert "algorithms must be" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists()
+
+
 def test_sweep_rejects_negative_seeds(tmp_path):
     cfg = sweep_config(tmp_path, seeds=[0, -1], algorithms=["hio"])
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
@@ -302,7 +318,7 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("epsilon", -1), ("delta", "foo"), ("t_init", 0), ("n_inner_steps", 2.5)])
+    ("epsilon", -1), ("delta", "foo"), ("delta", True), ("t_init", 0), ("n_inner_steps", 2.5)])
 def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
     payload = json.loads(cfg.read_text())

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepr import experiment
 from sparsepr.experiment import (
@@ -232,6 +234,21 @@ def test_twin_correlations_invariant_to_global_phase():
     m2 = twin_correlations(truth * np.exp(1.3j), truth, mask)
     assert m1.c_up == pytest.approx(m2.c_up, abs=1e-12)
     assert m1.c_twin == pytest.approx(m2.c_twin, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_flip_conjugate_swaps_the_twin_correlations(h, w, seed):
+    # holds for every centrosymmetric support, such as the paper's square
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) < 0.5
+    mask[rng.integers(h), rng.integers(w)] = True
+    mask |= mask[::-1, ::-1]
+    recon, truth = (rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)) for _ in range(2))
+    direct = twin_correlations(recon, truth, mask)
+    flipped = twin_correlations(flip_conjugate(recon), truth, mask)
+    assert flipped.c_up == pytest.approx(direct.c_twin, rel=1e-12, abs=1e-15)
+    assert flipped.c_twin == pytest.approx(direct.c_up, rel=1e-12, abs=1e-15)
 
 
 # ------------------------------------------------------------ phase error

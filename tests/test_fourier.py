@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsepr.fourier import (
     forward_transform,
@@ -132,3 +135,80 @@ def test_impose_magnitude_hits_target():
 def test_impose_magnitude_shape_mismatch():
     with pytest.raises(ValueError):
         impose_magnitude(random_field((4, 4), 0), np.ones((4, 5)))
+
+
+def test_impose_magnitude_subnormal_sample_stays_finite():
+    # target/|s| overflows here; the phasor must be formed before scaling.
+    s = np.full((2, 2), 3 + 4j)
+    s[0, 0] = 5e-324
+    t = np.full((2, 2), 1e3)
+    out = impose_magnitude(s, t)
+    assert out[0, 0] == 1e3 + 0j
+    assert np.all(np.isfinite(out))
+
+
+# Finite components across the whole float range, with zeros, subnormals
+# (whose modulus is subnormal or rounds badly) and near-overflow values
+# (whose modulus overflows) drawn often.
+SPECIAL_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                      np.finfo(np.float64).tiny, 1.7e308, -1.6e308]
+components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(SPECIAL_COMPONENTS),
+)
+
+
+@st.composite
+def spectra_and_targets(draw, max_target=1e300):
+    shape = (draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    re = draw(hnp.arrays(np.float64, shape, elements=components))
+    im = draw(hnp.arrays(np.float64, shape, elements=components))
+    target = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(0.0, max_target), st.sampled_from([0.0, 5e-324, 1.0, 1e3]))))
+    return re + 1j * im, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets())
+def test_impose_magnitude_modulus_is_target_within_a_few_ulp(case):
+    s, t = case
+    out = impose_magnitude(s, t)
+    assert np.all(np.abs(np.abs(out) - t) <= 4 * np.spacing(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets(), st.data())
+def test_impose_magnitude_zero_modulus_gives_exactly_target(case, data):
+    s, t = case
+    zero = data.draw(hnp.arrays(np.bool_, s.shape))
+    s[zero] = 0
+    out = impose_magnitude(s, t)
+    # Byte equality also rules out a -0.0 imaginary part.
+    assert out[zero].tobytes() == (t[zero] + 0j).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets())
+def test_impose_magnitude_phasor_matches_exp_of_angle(case):
+    s, _ = case
+    phasor = impose_magnitude(s, np.ones(s.shape))
+    assert np.max(np.abs(phasor - np.exp(1j * np.angle(s)))) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets())
+def test_impose_magnitude_leaves_the_spectrum_untouched(case):
+    s, t = case
+    before = s.tobytes()
+    impose_magnitude(s, t)
+    assert s.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets(max_target=np.finfo(np.float64).max), st.data())
+def test_impose_magnitude_output_finite_with_subnormal_samples(case, data):
+    s, t = case
+    subnormal = data.draw(hnp.arrays(np.bool_, s.shape))
+    s[subnormal] = data.draw(st.sampled_from([5e-324, 1e-310 - 2e-320j, -3e-320j]))
+    assert np.all(np.isfinite(impose_magnitude(s, t)))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepr import retrieval
 from sparsepr.experiment import binary_phase_phantom, make_support, PhantomSpec
@@ -306,3 +308,85 @@ def test_rejects_all_zero_magnitude():
     with pytest.raises(ValueError, match="all zero"):
         run_hio(np.zeros_like(magnitude), mask,
                 RetrievalConfig(n_iterations=1, penalty=PenaltySpec(kind="none")))
+
+
+# ------------------------------------------------------------ loop structure
+
+def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch):
+    # the stages are looked up on the retrieval module at call time, so a
+    # wrapper installed there (as the benchmark's tracer does) sees every call
+    _, mask, magnitude = small_problem()
+    counts = {}
+    stages = ("inverse_transform", "hio_update", "sparsity_descent",
+              "forward_transform", "impose_magnitude")
+    for name in stages:
+        def counted(*args, _real=getattr(retrieval, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(retrieval, name, counted)
+    cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="tv", n_inner_steps=2))
+    run_sparse_hio(magnitude, mask, cfg)
+    assert counts == {name: 3 for name in stages}
+
+
+# ------------------------------------------------------------ properties
+
+@st.composite
+def retrieval_problems(draw):
+    """A random complex object on a random rectangular or ragged support,
+    its Fourier magnitude, and a short run's seed and iteration count."""
+    h, w = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        y0, y1 = sorted(draw(st.lists(st.integers(0, h), min_size=2, max_size=2, unique=True)))
+        x0, x1 = sorted(draw(st.lists(st.integers(0, w), min_size=2, max_size=2, unique=True)))
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y0:y1, x0:x1] = True
+    else:
+        mask = rng.random((h, w)) < draw(st.floats(0.2, 0.7))
+        mask[rng.integers(h), rng.integers(w)] = True
+    truth = np.where(mask, rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)), 0)
+    magnitude = magnitude_of(forward_transform(truth))
+    return magnitude, mask, draw(st.integers(0, 2**31)), draw(st.integers(1, 6))
+
+
+def run_engine(magnitude, mask, seed, n_iterations, penalty):
+    engine = run_hio if penalty.kind == "none" else run_sparse_hio
+    cfg = RetrievalConfig(n_iterations=n_iterations, seed=seed, penalty=penalty)
+    return engine(magnitude, mask, cfg)
+
+
+ENGINE_PENALTIES = [PenaltySpec(kind="none"), PenaltySpec(kind="tv", n_inner_steps=3),
+                    PenaltySpec(kind="huber", n_inner_steps=3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
+def test_final_field_is_zero_outside_support_property(problem, penalty):
+    magnitude, mask, seed, n_iterations = problem
+    report = run_engine(magnitude, mask, seed, n_iterations, penalty)
+    assert not report.final_field[~mask].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
+def test_same_seed_gives_the_same_bits(problem, penalty):
+    magnitude, mask, seed, n_iterations = problem
+    first = run_engine(magnitude, mask, seed, n_iterations, penalty)
+    run_engine(magnitude, mask, seed + 1, n_iterations, penalty)  # state in between
+    second = run_engine(magnitude, mask, seed, n_iterations, penalty)
+    for name in ("final_field", "penalty_trace", "fourier_residual_trace"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(retrieval_problems(), st.sampled_from(["tv", "huber"]))
+def test_zero_inner_steps_is_plain_hio_property(problem, kind):
+    magnitude, mask, seed, n_iterations = problem
+    plain = run_engine(magnitude, mask, seed, n_iterations, PenaltySpec(kind="none"))
+    degenerate = run_engine(magnitude, mask, seed, n_iterations,
+                            PenaltySpec(kind=kind, n_inner_steps=0))
+    assert plain.final_field.tobytes() == degenerate.final_field.tobytes()
+    assert plain.fourier_residual_trace.tobytes() == degenerate.fourier_residual_trace.tobytes()
+    if kind == "tv":  # HIO's penalty trace is TV too
+        assert plain.penalty_trace.tobytes() == degenerate.penalty_trace.tobytes()

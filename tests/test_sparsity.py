@@ -484,3 +484,14 @@ def test_penalty_spec_validation():
         PenaltySpec(kind="tv", n_inner_steps=2.5)
     with pytest.raises(ValueError):
         PenaltySpec(kind="tv", n_inner_steps=True)
+
+
+@pytest.mark.parametrize("delta", [True, False, [0.5], None])
+def test_fixed_delta_must_be_a_real_number(delta):
+    with pytest.raises(ValueError, match="real number"):
+        PenaltySpec(kind="huber", delta_rule=delta)
+
+
+def test_fixed_delta_is_stored_as_float():
+    spec = PenaltySpec(kind="huber", delta_rule=2)
+    assert spec.delta_rule == 2.0 and type(spec.delta_rule) is float
