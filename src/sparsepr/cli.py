@@ -69,31 +69,17 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_field(path) -> np.ndarray:
-    if not Path(path).exists():
-        raise FieldFileError(f"no such file: {path}")
-    return read_field_file(path)
-
-
 def _load_mask(path) -> np.ndarray:
-    return as_mask(_load_field(path).real != 0)
+    return as_mask(read_field_file(path).real != 0)
 
 
 # ---------------------------------------------------------------- phantom
 
 def _phantom_spec_from_args(args) -> experiment.PhantomSpec:
-    kwargs = dict(
-        image_size=args.size,
-        support_size=args.support,
-        kind=args.kind,
-        pattern_seed=args.seed,
-    )
-    if args.step is not None:
-        kwargs["phase_step"] = args.step
-    if args.range is not None:
-        kwargs["phase_range"] = args.range
     try:
-        return experiment.PhantomSpec(**kwargs)
+        return experiment.PhantomSpec(
+            image_size=args.size, support_size=args.support, kind=args.kind,
+            phase_step=args.step, phase_range=args.range, pattern_seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -125,7 +111,7 @@ def cmd_phantom(args) -> int:
 # ---------------------------------------------------------------- forward
 
 def cmd_forward(args) -> int:
-    truth = _load_field(args.truth)
+    truth = read_field_file(args.truth)
     mag = fourier.magnitude_of(fourier.forward_transform(truth))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,7 +183,7 @@ def cmd_retrieve(args) -> int:
             beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    magnitude = _load_field(args.magnitude).real
+    magnitude = read_field_file(args.magnitude).real
     mask = _load_mask(args.mask)
     report = _run_engine(magnitude, mask, config)
     out = Path(args.out)
@@ -329,8 +315,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- metrics
 
 def cmd_metrics(args) -> int:
-    recon = _load_field(args.recon)
-    truth = _load_field(args.truth)
+    recon = read_field_file(args.recon)
+    truth = read_field_file(args.truth)
     mask = _load_mask(args.mask)
     metrics = experiment.twin_correlations(recon, truth, mask, args.twin_threshold)
     delta = select_delta(recon, mask)
@@ -356,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a pure-phase test object")
-    p.add_argument("--kind", choices=("binary", "gray"), default="binary")
+    p.add_argument("--kind", choices=("binary", "gray"), default=experiment.PhantomSpec.kind)
     p.add_argument("--size", type=int, default=128)
     p.add_argument("--support", type=int, default=60)
-    p.add_argument("--step", type=float, default=None,
-                   help="binary phase step in radians (default 2*pi/3)")
-    p.add_argument("--range", type=float, default=None,
-                   help="gray phase range in radians (default 5*pi/6)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--step", type=float, default=experiment.PhantomSpec.phase_step,
+                   help="binary phase step in radians (default %(default).4f)")
+    p.add_argument("--range", type=float, default=experiment.PhantomSpec.phase_range,
+                   help="gray phase range in radians (default %(default).4f)")
+    p.add_argument("--seed", type=int, default=experiment.PhantomSpec.pattern_seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_phantom)
 
@@ -376,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--alg", choices=ALGORITHMS, default="hio-tv")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--beta", type=float, default=0.9)
+    p.add_argument("--iters", type=int, default=retrieval.RetrievalConfig.n_iterations)
+    p.add_argument("--beta", type=float, default=retrieval.RetrievalConfig.beta)
     p.add_argument("--ntv", dest="n_inner_steps", type=int, default=None,
                    help="descent steps per iteration")
     p.add_argument("--eps", dest="epsilon", type=float, default=None,
@@ -385,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None, help="'median' or a fixed value")
     p.add_argument("--tinit", dest="t_init", type=float, default=None,
                    help="line-search initial trial step")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=retrieval.RetrievalConfig.seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_retrieve)
 

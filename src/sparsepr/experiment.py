@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import as_mask, bounding_box, check_same_shape, l2_norm
+from .grids import as_mask, bounding_box, check_number, check_same_shape, l2_norm
 from .retrieval import penalty_value
 from .sparsity import PenaltySpec
 
@@ -31,6 +31,12 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in ("binary", "gray"):
             raise ValueError(f"unknown phantom kind {self.kind!r}")
+        for name in ("image_size", "support_size", "pattern_seed"):
+            check_number(name, getattr(self, name), integer=True)
+        for name in ("phase_step", "phase_range"):
+            check_number(name, getattr(self, name))
+        if self.pattern_seed < 0:
+            raise ValueError("pattern_seed must be >= 0")
         if self.image_size % 2 or self.support_size % 2:
             raise ValueError("image_size and support_size must both be even")
         if not 0 < self.support_size < self.image_size / 2:

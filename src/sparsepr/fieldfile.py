@@ -26,6 +26,8 @@ _HEADER = struct.Struct("<4sIIB3x")
 
 DTYPE_REAL = 0
 DTYPE_COMPLEX = 1
+# dtype code -> the samples' on-disk type, used by the writer and the reader.
+_DTYPES = {DTYPE_REAL: np.dtype("<f8"), DTYPE_COMPLEX: np.dtype("<c16")}
 
 
 class FieldFileError(Exception):
@@ -57,12 +59,8 @@ def write_field_file(grid, path) -> None:
     a = np.asarray(grid)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"grid must be 2D and non-empty, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        payload = np.ascontiguousarray(a, dtype="<c16")
-        code = DTYPE_COMPLEX
-    else:
-        payload = np.ascontiguousarray(a, dtype="<f8")
-        code = DTYPE_REAL
+    code = DTYPE_COMPLEX if np.iscomplexobj(a) else DTYPE_REAL
+    payload = np.ascontiguousarray(a, dtype=_DTYPES[code])
     height, width = a.shape
     header = _HEADER.pack(MAGIC, width, height, code)
     try:
@@ -85,11 +83,8 @@ def read_field_file(path) -> np.ndarray:
     magic, width, height, code = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if code == DTYPE_REAL:
-        dtype = np.dtype("<f8")
-    elif code == DTYPE_COMPLEX:
-        dtype = np.dtype("<c16")
-    else:
+    dtype = _DTYPES.get(code)
+    if dtype is None:
         raise UnknownDtypeError(f"{path}: unknown dtype code {code}")
     if width == 0 or height == 0:
         raise EmptyGridError(f"{path}: header declares an empty {width}x{height} grid")
@@ -104,4 +99,4 @@ def read_field_file(path) -> np.ndarray:
             f"{path}: {len(payload) - expected} bytes after the {expected}-byte payload"
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return data.astype(np.complex128 if code == DTYPE_COMPLEX else np.float64)
+    return data.astype(dtype.newbyteorder("="))

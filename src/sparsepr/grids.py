@@ -6,6 +6,8 @@ data such as magnitudes). Support masks are 2D boolean arrays.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 
@@ -43,6 +45,14 @@ def l2_norm(a) -> float:
     if np.iscomplexobj(a):
         return float(np.sqrt(np.sum(a.real * a.real) + np.sum(a.imag * a.imag)))
     return float(np.sqrt(np.sum(a * a)))
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ValueError unless `value` is a real number (an integer if
+    `integer`). A bool is neither: a setting is never a flag."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def check_same_shape(*arrays) -> None:

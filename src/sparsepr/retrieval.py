@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import as_mask, check_same_shape, l2_norm
+from .grids import as_mask, check_number, check_same_shape, l2_norm
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
 
@@ -27,6 +27,9 @@ class RetrievalConfig:
     penalty: PenaltySpec = dc_field(default_factory=PenaltySpec)
 
     def __post_init__(self):
+        check_number("beta", self.beta)
+        check_number("n_iterations", self.n_iterations, integer=True)
+        check_number("seed", self.seed, integer=True)
         if not 0 < self.beta <= 1:
             raise ValueError("beta must be in (0, 1]")
         if self.n_iterations < 1:

@@ -15,15 +15,18 @@ gradients pass finite-difference checks to machine-level accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import as_mask, bounding_box, check_same_shape
+from .grids import as_mask, bounding_box, check_number, check_same_shape
 
 # Relative floor applied when scaling the TV smoothing epsilon.
 EPSILON_FLOOR = 1e-12
+# Armijo line search: sufficient-decrease fraction, step shrink factor
+# and the number of shrinks tried before giving up.
+LS_ALPHA = 0.3
+LS_SHRINK = 0.5
 MAX_BACKTRACK_STEPS = 60
 
 
@@ -36,7 +39,7 @@ class PenaltySpec:
     epsilon: TV smoothing, relative to the field's max modulus.
     delta_rule: "median" (recomputed each descent step) or a fixed real
         number (not a bool), stored as a float.
-    ls_alpha, ls_shrink, t_init: backtracking line-search constants.
+    t_init: the line search's first trial step (see backtracking_step).
 
     The default t_init is deliberately small. Inside the retrieval loop
     the descent block runs every outer iteration, so a gentle nudge per
@@ -49,33 +52,27 @@ class PenaltySpec:
     n_inner_steps: int = 30
     epsilon: float = 1e-8
     delta_rule: str | float = "median"
-    ls_alpha: float = 0.3
-    ls_shrink: float = 0.5
     t_init: float = 0.02
 
     def __post_init__(self):
         if self.kind not in ("none", "tv", "huber"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if isinstance(self.n_inner_steps, bool) or not isinstance(self.n_inner_steps, Integral):
-            raise ValueError(f"n_inner_steps must be an integer, got {self.n_inner_steps!r}")
+        check_number("n_inner_steps", self.n_inner_steps, integer=True)
+        check_number("epsilon", self.epsilon)
+        check_number("t_init", self.t_init)
         if self.n_inner_steps < 0:
             raise ValueError("n_inner_steps must be >= 0")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if not 0 < self.ls_alpha < 0.5:
-            raise ValueError("ls_alpha must be in (0, 0.5)")
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError("ls_shrink must be in (0, 1)")
         if not self.t_init > 0:
             raise ValueError("t_init must be > 0")
         if isinstance(self.delta_rule, str):
             if self.delta_rule != "median":
                 raise ValueError(f"unknown delta rule {self.delta_rule!r}")
-        elif isinstance(self.delta_rule, bool) or not isinstance(self.delta_rule, Real):
-            raise ValueError(f"fixed delta must be a real number, got {self.delta_rule!r}")
-        elif not self.delta_rule > 0:
-            raise ValueError("fixed delta must be > 0")
         else:
+            check_number("fixed delta", self.delta_rule)
+            if not self.delta_rule > 0:
+                raise ValueError("fixed delta must be > 0")
             object.__setattr__(self, "delta_rule", float(self.delta_rule))
 
 
@@ -245,10 +242,10 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
 def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None) -> float:
     """Armijo backtracking along `descent_dir` (= minus the penalty gradient).
 
-    Tries t = t0 * ls_shrink^k for k = 0..60, where t0 is t_init rescaled
+    Tries t = t0 * LS_SHRINK^k for k = 0..60, where t0 is t_init rescaled
     by 1/max(1, max|descent_dir|) to keep the first trial comparable
     across image scales. Returns the first t with
-    penalty(field + t*d) <= penalty(field) - ls_alpha * t * ||d||^2,
+    penalty(field + t*d) <= penalty(field) - LS_ALPHA * t * ||d||^2,
     or 0.0 if none qualifies (no progress possible at this resolution).
     A caller that already knows penalty(field) passes it as `p0`, which
     saves one evaluation; penalty is then called on trial points only.
@@ -264,9 +261,9 @@ def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None) -
         p0 = penalty(field)
     t = spec.t_init / max(1.0, float(np.max(d_abs)) if d.size else 0.0)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
-        if penalty(field + t * d) <= p0 - spec.ls_alpha * t * d_sq:
+        if penalty(field + t * d) <= p0 - LS_ALPHA * t * d_sq:
             return t
-        t *= spec.ls_shrink
+        t *= LS_SHRINK
     return 0.0
 
 

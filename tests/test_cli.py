@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,14 +9,17 @@ from sparsepr.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_USAGE,
+    build_parser,
     magnitude_preview,
     main,
     phase_preview,
     write_pgm,
 )
-from sparsepr.experiment import PhantomSpec, binary_phase_phantom, make_support
+from sparsepr.experiment import (PhantomSpec, binary_phase_phantom, gray_phase_phantom,
+                                 make_support)
 from sparsepr.fieldfile import read_field_file, write_field_file
 from sparsepr.fourier import forward_transform, magnitude_of
+from sparsepr.sparsity import PenaltySpec
 
 
 def make_inputs(tmp_path, image_size=32, support_size=12, pattern_seed=3):
@@ -53,20 +57,33 @@ def test_magnitude_preview_zero_safe():
 
 # ------------------------------------------------------------ subcommands
 
-def test_phantom_command(tmp_path):
+@pytest.mark.parametrize("kind", ["binary", "gray"])
+def test_phantom_command(tmp_path, kind):
+    # No --step or --range: the flags' defaults must be PhantomSpec's.
     out = tmp_path / "ph"
-    code = main(["phantom", "--size", "32", "--support", "12",
+    code = main(["phantom", "--kind", kind, "--size", "32", "--support", "12",
                  "--seed", "3", "--out", str(out)])
     assert code == 0
+    spec = PhantomSpec(image_size=32, support_size=12, kind=kind, pattern_seed=3)
     truth = read_field_file(out / "truth.prf1")
-    expected = binary_phase_phantom(
-        PhantomSpec(image_size=32, support_size=12, pattern_seed=3))
-    assert np.array_equal(truth, expected)
+    generate = binary_phase_phantom if kind == "binary" else gray_phase_phantom
+    assert np.array_equal(truth, generate(spec))
     support = read_field_file(out / "support.prf1")
     assert np.array_equal(support != 0, make_support(32, 12))
     assert (out / "truth_phase.pgm").exists()
     spec_echo = json.loads((out / "phantom.json").read_text())
-    assert spec_echo["pattern_seed"] == 3
+    assert spec_echo == dataclasses.asdict(spec)
+
+
+def test_flag_defaults_are_the_configs_defaults():
+    parser = build_parser()
+    phantom = parser.parse_args(["phantom"])
+    spec = PhantomSpec(image_size=phantom.size, support_size=phantom.support)
+    assert (phantom.kind, phantom.step, phantom.range, phantom.seed) == (
+        spec.kind, spec.phase_step, spec.phase_range, spec.pattern_seed)
+    run = parser.parse_args(["retrieve", "--magnitude", "m", "--mask", "s"])
+    config = retrieval.RetrievalConfig()
+    assert (run.beta, run.iters, run.seed) == (config.beta, config.n_iterations, config.seed)
 
 
 def test_phantom_rejects_bad_geometry(tmp_path):
@@ -139,7 +156,6 @@ def test_retrieve_warns_on_ignored_ntv(tmp_path, capsys):
 
 def test_retrieve_sparse_matches_library(tmp_path):
     from sparsepr.retrieval import RetrievalConfig, run_sparse_hio
-    from sparsepr.sparsity import PenaltySpec
 
     _, mask, magnitude = make_inputs(tmp_path)
     out = tmp_path / "tv"
@@ -155,6 +171,23 @@ def test_retrieve_sparse_matches_library(tmp_path):
         RetrievalConfig(n_iterations=4, seed=2, penalty=PenaltySpec(kind="tv")),
     ).final_field
     assert np.array_equal(recon, expected)
+
+
+def test_retrieve_report_echoes_every_penalty_field(tmp_path):
+    make_inputs(tmp_path)
+    out = tmp_path / "huber"
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", "hio-huber", "--iters", "2", "--ntv", "3",
+                 "--out", str(out)])
+    assert code == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    loop = {"algorithm", "beta", "n_iterations", "seed", "penalty"}
+    names = {f.name for f in dataclasses.fields(PenaltySpec)} - {"kind"}
+    assert set(echo) - loop == names
+    fields = {name: echo[name] for name in names}
+    assert PenaltySpec(kind=echo["penalty"], **fields) == PenaltySpec(kind="huber", n_inner_steps=3)
 
 
 def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys):
@@ -279,6 +312,20 @@ def test_sweep_rejects_repeated_or_no_algorithms(tmp_path, capsys, algorithms):
     assert not (tmp_path / "sweep_out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pattern_seed", 1.5), ("image_size", 32.0), ("pattern_seed", True), ("pattern_seed", -1),
+    ("phase_step", True)])
+def test_sweep_rejects_bad_phantom_setting_before_writing(tmp_path, capsys, key, value):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
+    payload = json.loads(cfg.read_text())
+    payload["phantom"][key] = value
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid sweep config") and key in err
+    assert not (tmp_path / "sweep_out").exists()
+
+
 def test_sweep_rejects_negative_seeds(tmp_path):
     cfg = sweep_config(tmp_path, seeds=[0, -1], algorithms=["hio"])
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
@@ -318,7 +365,8 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("epsilon", -1), ("delta", "foo"), ("delta", True), ("t_init", 0), ("n_inner_steps", 2.5)])
+    ("epsilon", -1), ("delta", "foo"), ("delta", True), ("t_init", 0), ("n_inner_steps", 2.5),
+    ("epsilon", True), ("t_init", True)])
 def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
     payload = json.loads(cfg.read_text())

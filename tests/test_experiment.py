@@ -69,6 +69,18 @@ def test_phantom_spec_validation():
         PhantomSpec(image_size=127, support_size=60)
     with pytest.raises(ValueError):
         PhantomSpec(image_size=128, support_size=70)
+    # A bool or a fractional number is refused, not run as 1 or truncated.
+    for key, value in [("image_size", 32.0), ("image_size", True), ("support_size", 12.0),
+                       ("pattern_seed", 1.5), ("pattern_seed", True), ("pattern_seed", -1),
+                       ("phase_step", True), ("phase_step", "2"), ("phase_range", None)]:
+        with pytest.raises(ValueError, match=key):
+            PhantomSpec(**{"image_size": 32, "support_size": 12, key: value})
+
+
+def test_phantom_spec_accepts_numpy_scalars():
+    spec = PhantomSpec(image_size=np.int64(32), support_size=np.int32(12),
+                       phase_step=np.float64(2.0), pattern_seed=np.uint8(3))
+    assert binary_phase_phantom(spec).shape == (32, 32)
 
 
 def test_binary_phantom_structure():

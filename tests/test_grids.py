@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsepr
-from sparsepr.grids import as_complex_field, as_mask, bounding_box, is_centrosymmetric, l2_norm
+from sparsepr.grids import (as_complex_field, as_mask, bounding_box, check_number,
+                            is_centrosymmetric, l2_norm)
 
 
 def test_rejects_nan():
@@ -100,3 +101,24 @@ def test_package_makes_no_blas_call():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if blas.search(line)]
     assert hits == []
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), -1])
+def test_check_number_accepts_integers(value):
+    check_number("n", value, integer=True)
+    check_number("x", value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(2.0), float("nan")])
+def test_check_number_accepts_reals(value):
+    check_number("x", value)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_number("n", value, integer=True)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j, [1]])
+def test_check_number_rejects_non_numbers(value):
+    with pytest.raises(ValueError, match="x must be a real number"):
+        check_number("x", value)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_number("n", value, integer=True)

@@ -93,6 +93,11 @@ def test_config_validation():
         RetrievalConfig(n_iterations=0)
     with pytest.raises(ValueError):
         RetrievalConfig(seed=-1)
+    # A bool or a fractional number is refused, not run as 1 or truncated.
+    for bad in ({"beta": True}, {"seed": True}, {"n_iterations": True},
+                {"n_iterations": 2.5}, {"seed": 1.5}, {"beta": "0.9"}):
+        with pytest.raises(ValueError):
+            RetrievalConfig(**bad)
 
 
 def test_run_hio_rejects_penalty_kind():

@@ -225,7 +225,7 @@ def test_backtracking_zero_direction_accepts_t_init():
 def test_backtracking_quadratic_hand_case():
     # P(f) = ||f||^2/2 from f = ones along d = -ones:
     # P(0) = 0 <= P(f) - 0.3 * 1 * ||d||^2 = 2 - 1.2, so t = 1 is accepted.
-    spec = PenaltySpec(kind="tv", ls_alpha=0.3, t_init=1.0)
+    spec = PenaltySpec(kind="tv", t_init=1.0)
     f = np.ones((2, 2), dtype=np.complex128)
     d = -np.ones_like(f)
     penalty = lambda g: float(np.sum(np.abs(g) ** 2) / 2)  # noqa: E731
@@ -437,7 +437,6 @@ def descent_cases(draw):
         kind=kind,
         n_inner_steps=draw(st.integers(1, 6)),
         delta_rule=draw(st.sampled_from(["median", 0.05, 1.0, 20.0])),
-        ls_shrink=draw(st.sampled_from([0.5, 0.1])),
         t_init=draw(st.sampled_from([0.02, 1.0, 50.0])),
     )
     return field, mask, spec
@@ -473,10 +472,6 @@ def test_penalty_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(kind="wavelet")
     with pytest.raises(ValueError):
-        PenaltySpec(kind="tv", ls_alpha=0.7)
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="tv", ls_shrink=1.5)
-    with pytest.raises(ValueError):
         PenaltySpec(kind="huber", delta_rule=-1.0)
     with pytest.raises(ValueError):
         PenaltySpec(kind="tv", epsilon=0.0)
@@ -484,6 +479,10 @@ def test_penalty_spec_validation():
         PenaltySpec(kind="tv", n_inner_steps=2.5)
     with pytest.raises(ValueError):
         PenaltySpec(kind="tv", n_inner_steps=True)
+    with pytest.raises(ValueError, match="epsilon must be a real number"):
+        PenaltySpec(kind="tv", epsilon=True)
+    with pytest.raises(ValueError, match="t_init must be a real number"):
+        PenaltySpec(kind="tv", t_init="0.1")
 
 
 @pytest.mark.parametrize("delta", [True, False, [0.5], None])
