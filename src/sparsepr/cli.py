@@ -70,7 +70,11 @@ def _dump_json(path, payload) -> None:
 
 
 def _load_mask(path) -> np.ndarray:
-    return as_mask(read_field_file(path).real != 0)
+    field = read_field_file(path)
+    # NaN != 0, so a non-finite sample would silently join the support.
+    if not np.all(np.isfinite(field)):
+        raise FieldFileError(f"mask file {path} has non-finite samples")
+    return as_mask(field.real != 0)
 
 
 # ---------------------------------------------------------------- phantom
@@ -207,7 +211,7 @@ def cmd_retrieve(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_cell(payload):
-    """One (algorithm, seed) cell; runs in a worker process unless --jobs is 1."""
+    """One (algorithm, seed) cell; runs in a worker process when the sweep has a pool."""
     alg, seed, penalty, loop, magnitude, mask, out_dir = payload
     config = retrieval.RetrievalConfig(seed=seed, penalty=penalty, **loop)
     report = _run_engine(magnitude, mask, config)
@@ -278,9 +282,11 @@ def cmd_sweep(args) -> int:
     ]
     results = {}
     failures = {}
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    # A pool starts all its workers at once, so it gets no more than there are cells.
+    workers = min(args.jobs, len(cells))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
-        # --jobs 1 runs each cell in this process when its result is read.
+        # One worker runs each cell in this process when its result is read.
         outcomes = [pool.submit(_sweep_cell, cell).result if pool
                     else functools.partial(_sweep_cell, cell) for cell in cells]
         for (alg, seed, *_), outcome in zip(cells, outcomes):
@@ -297,10 +303,7 @@ def cmd_sweep(args) -> int:
         reports = [results[(alg, s)] for s in sorted(seeds) if (alg, s) in results]
         if not reports:
             continue
-        summary = experiment.run_statistics(
-            reports, truth, mask,
-            twin_threshold=args.twin_threshold, penalty=penalties[alg],
-        )
+        summary = experiment.run_statistics(reports, truth, mask)
         aggregate["algorithms"][alg] = asdict(summary)
     _dump_json(out_dir / "aggregate.json", aggregate)
     print(f"sweep complete: {len(results)} cells ok, {len(failures)} failed; "
@@ -318,7 +321,7 @@ def cmd_metrics(args) -> int:
     recon = read_field_file(args.recon)
     truth = read_field_file(args.truth)
     mask = _load_mask(args.mask)
-    metrics = experiment.twin_correlations(recon, truth, mask, args.twin_threshold)
+    metrics = experiment.twin_correlations(recon, truth, mask)
     delta = select_delta(recon, mask)
     payload = {
         "c_up": metrics.c_up,
@@ -379,16 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="SweepConfig JSON file")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="override config output_dir")
-    p.add_argument("--twin-threshold", type=float,
-                   default=experiment.DEFAULT_TWIN_THRESHOLD)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("metrics", help="twin metrics for a reconstruction")
     p.add_argument("--recon", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--twin-threshold", type=float,
-                   default=experiment.DEFAULT_TWIN_THRESHOLD)
     p.set_defaults(func=cmd_metrics)
     return parser
 

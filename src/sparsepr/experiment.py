@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import as_mask, bounding_box, check_number, check_same_shape, l2_norm
-from .retrieval import penalty_value
-from .sparsity import PenaltySpec
 
-DEFAULT_TWIN_THRESHOLD = 0.35
+TWIN_THRESHOLD = 0.35
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,10 @@ def align_global_phase(recon, truth, mask) -> np.ndarray:
     return r * np.exp(-1j * np.angle(overlap))
 
 
-def twin_correlations(recon, truth, mask,
-                      twin_threshold: float = DEFAULT_TWIN_THRESHOLD) -> TwinMetrics:
+def twin_correlations(recon, truth, mask) -> TwinMetrics:
     """Normalized correlation magnitudes against truth and its twin.
 
-    twin_present means BOTH correlations exceed the threshold, i.e. the
+    twin_present means BOTH correlations exceed TWIN_THRESHOLD, i.e. the
     reconstruction is a substantial superposition of the two twins.
     """
     r = np.asarray(recon)
@@ -224,7 +221,7 @@ def twin_correlations(recon, truth, mask,
     return TwinMetrics(
         c_up=float(c_up),
         c_twin=float(c_twin),
-        twin_present=bool(min(c_up, c_twin) > twin_threshold),
+        twin_present=bool(min(c_up, c_twin) > TWIN_THRESHOLD),
     )
 
 
@@ -247,13 +244,10 @@ def phase_rmse(recon, truth, mask) -> float:
     return min(errors)
 
 
-def run_statistics(reports, truth, mask,
-                   twin_threshold: float = DEFAULT_TWIN_THRESHOLD,
-                   penalty: PenaltySpec = PenaltySpec()) -> RunSummary:
+def run_statistics(reports, truth, mask) -> RunSummary:
     """Mean/std of final in-support penalties and twin statistics for a batch.
 
-    `penalty` is the runs' PenaltySpec; a final penalty is its
-    `penalty_value` (TV for plain HIO), as in the runs' penalty traces.
+    A run's final penalty is the last value of its penalty trace.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -261,8 +255,8 @@ def run_statistics(reports, truth, mask,
     penalties = []
     twin_count = 0
     for rep in reports:
-        metrics = twin_correlations(rep.final_field, truth, mask, twin_threshold)
-        p = penalty_value(rep.final_field, mask, penalty)
+        metrics = twin_correlations(rep.final_field, truth, mask)
+        p = float(rep.penalty_trace[-1])
         penalties.append(p)
         twin_count += int(metrics.twin_present)
         per_run.append(

@@ -82,7 +82,7 @@ def penalty_value(field, region, spec: PenaltySpec) -> float:
     penalty trace and of every reported final penalty.
     """
     if spec.kind == "huber":
-        delta = select_delta(field, region) if spec.delta_rule == "median" else float(spec.delta_rule)
+        delta = select_delta(field, region) if spec.delta_rule == "median" else spec.delta_rule
         return huber_value(field, delta, region)
     return tv_value(field, region)
 

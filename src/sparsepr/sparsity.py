@@ -292,7 +292,7 @@ def sparsity_descent(field, region, spec: PenaltySpec) -> np.ndarray:
     if tv:
         eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
     elif spec.delta_rule != "median":
-        delta = float(spec.delta_rule)
+        delta = spec.delta_rule
 
     def penalty(g) -> float:
         """Penalty of a line-search trial; the trial is kept in `accepted`."""

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from sparsepr import retrieval
+from sparsepr import cli, retrieval
 from sparsepr.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -243,6 +244,53 @@ def test_metrics_command(tmp_path, capsys):
     assert payload["phase_rmse"] < 1e-12
 
 
+@pytest.mark.parametrize("command", ["metrics", "sweep"])
+def test_twin_threshold_is_not_a_flag(tmp_path, command):
+    make_inputs(tmp_path)
+    inputs = {"metrics": ["--recon", str(tmp_path / "truth.prf1"),
+                          "--truth", str(tmp_path / "truth.prf1"),
+                          "--mask", str(tmp_path / "support.prf1")],
+              "sweep": ["--config", str(sweep_config(tmp_path, [0], ["hio"]))]}
+    code = main([command, *inputs[command], "--twin-threshold", "0.5"])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "sweep_out").exists()
+
+
+def _write_mask_with(tmp_path, value):
+    mask = make_support(32, 12).astype(np.float64)
+    mask[0, 0] = value
+    path = tmp_path / "bad_support.prf1"
+    write_field_file(mask, path)
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_retrieve_refuses_non_finite_mask(tmp_path, capsys, value):
+    make_inputs(tmp_path)
+    mask = _write_mask_with(tmp_path, value)
+    out = tmp_path / "run"
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(mask), "--alg", "hio", "--iters", "2",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert f"mask file {mask} has non-finite samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_refuses_non_finite_mask(tmp_path, capsys):
+    make_inputs(tmp_path)
+    mask = _write_mask_with(tmp_path, np.nan)
+    code = main(["metrics",
+                 "--recon", str(tmp_path / "truth.prf1"),
+                 "--truth", str(tmp_path / "truth.prf1"),
+                 "--mask", str(mask)])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"mask file {mask} has non-finite samples" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------ sweep
 
 def sweep_config(tmp_path, seeds, algorithms, iters=4):
@@ -377,19 +425,57 @@ def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key,
     assert not (tmp_path / "sweep_out").exists()
 
 
-def test_sweep_fixed_delta_huber_reports_one_final_penalty(tmp_path):
-    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-huber"])
+@pytest.mark.parametrize("delta", ["median", 0.05])
+@pytest.mark.parametrize("alg", ["hio", "hio-tv", "hio-huber"])
+def test_sweep_reports_one_final_penalty(tmp_path, alg, delta):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=[alg])
     payload = json.loads(cfg.read_text())
     payload["phantom"]["kind"] = "gray"
-    payload["retrieval"]["delta"] = 0.05
+    payload["retrieval"]["delta"] = delta
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep_out"
-    cell = json.loads((out / "recon_hio-huber_00000000.json").read_text())
+    cell = json.loads((out / f"recon_{alg}_00000000.json").read_text())
     aggregate = json.loads((out / "aggregate.json").read_text())
-    assert cell["config"]["delta_rule"] == 0.05
-    # The support is a square, so the trace's window is the support itself.
-    assert aggregate["algorithms"]["hio-huber"]["per_run"][0]["final_penalty"] == cell["final_penalty"]
+    if alg != "hio":
+        assert cell["config"]["delta_rule"] == delta
+    assert aggregate["algorithms"][alg]["per_run"][0]["final_penalty"] == cell["final_penalty"]
+
+
+class _SyncPool:
+    """A ProcessPoolExecutor stand-in that runs each cell when submitted."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize("seeds, jobs, pools", [
+    ([0, 1], "4", [2]), ([0, 1, 2], "2", [2]), ([0], "4", []), ([0, 1], "1", [])],
+    ids=["2cells-jobs4", "3cells-jobs2", "1cell-jobs4", "2cells-jobs1"])
+def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds, jobs, pools):
+    monkeypatch.setattr(_SyncPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SyncPool)
+    cfg = sweep_config(tmp_path, seeds=seeds, algorithms=["hio"], iters=2)
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+    assert _SyncPool.created == pools
+    aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
+    assert aggregate["algorithms"]["hio"]["n_runs"] == len(seeds)
 
 
 def test_sweep_with_failed_cells_exits_data_after_aggregate(tmp_path):

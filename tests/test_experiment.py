@@ -284,12 +284,11 @@ def test_phase_rmse_detects_perturbation():
 
 # ------------------------------------------------------------ statistics
 
-def _fake_report(field, seed):
-    n = 1
+def _fake_report(field, seed, final_penalty=0.0):
     return RunReport(
         final_field=field,
-        penalty_trace=np.zeros(n),
-        fourier_residual_trace=np.zeros(n),
+        penalty_trace=np.array([100.0, final_penalty]),
+        fourier_residual_trace=np.zeros(2),
         seed=seed,
         wall_time=0.0,
     )
@@ -299,12 +298,14 @@ def test_run_statistics_means_and_counts():
     truth = binary_phase_phantom(desk_spec())
     mask = make_support(128, 60)
     blend = 0.5 * (truth + flip_conjugate(truth))
-    reports = [_fake_report(truth, 0), _fake_report(blend, 1)]
+    reports = [_fake_report(truth, 0, 7.0), _fake_report(blend, 1, 3.5)]
     summary = run_statistics(reports, truth, mask)
     assert summary.n_runs == 2
     assert summary.twin_present_count == 1
     assert summary.twin_present_fraction == 0.5
+    # A final penalty is the trace's last value, not one recomputed from the field.
     penalties = [r["final_penalty"] for r in summary.per_run]
+    assert penalties == [7.0, 3.5]
     assert summary.penalty_mean == pytest.approx(np.mean(penalties))
     assert summary.penalty_std == pytest.approx(np.std(penalties, ddof=1))
     assert [r["seed"] for r in summary.per_run] == [0, 1]

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -101,6 +102,17 @@ def test_package_makes_no_blas_call():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if blas.search(line)]
     assert hits == []
+
+
+def test_experiment_imports_only_grids_from_the_package():
+    # experiment reads what a run recorded; it neither runs nor scores one.
+    tree = ast.parse((Path(sparsepr.__file__).parent / "experiment.py").read_text())
+    modules = [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    package = [name for name in modules if name.startswith((".", "sparsepr"))]
+    assert package == [".grids"]
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), -1])
