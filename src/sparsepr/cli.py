@@ -69,12 +69,18 @@ def _dump_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_mask(path) -> np.ndarray:
+def _load_finite(path, what: str) -> np.ndarray:
+    """A field file whose samples must all be finite; `what` names it in
+    the error."""
     field = read_field_file(path)
-    # NaN != 0, so a non-finite sample would silently join the support.
     if not np.all(np.isfinite(field)):
-        raise FieldFileError(f"mask file {path} has non-finite samples")
-    return as_mask(field.real != 0)
+        raise FieldFileError(f"{what} file {path} has non-finite samples")
+    return field
+
+
+def _load_mask(path) -> np.ndarray:
+    # NaN != 0, so a non-finite sample would silently join the support.
+    return as_mask(_load_finite(path, "mask").real != 0)
 
 
 # ---------------------------------------------------------------- phantom
@@ -318,8 +324,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- metrics
 
 def cmd_metrics(args) -> int:
-    recon = read_field_file(args.recon)
-    truth = read_field_file(args.truth)
+    # A NaN would print as a bare NaN (not JSON) and count as no twin.
+    recon = _load_finite(args.recon, "recon")
+    truth = _load_finite(args.truth, "truth")
     mask = _load_mask(args.mask)
     metrics = experiment.twin_correlations(recon, truth, mask)
     delta = select_delta(recon, mask)

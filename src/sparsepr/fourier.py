@@ -3,6 +3,11 @@
 Convention: forward transform is unnormalized, inverse carries the
 1/(W*H) factor, so inverse(forward(g)) == g. The DC sample sits at
 index (0, 0); any fftshift is a display concern handled by the CLI.
+
+The transforms and impose_magnitude take an optional `out`, a complex128
+array of the result's shape that must not overlap an input: the result is
+written there and `out` is returned, with the same bits as a call that
+allocates it.
 """
 
 from __future__ import annotations
@@ -15,14 +20,19 @@ from .grids import as_complex_field, check_same_shape
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
-def forward_transform(field) -> np.ndarray:
+def forward_transform(field, *, out=None) -> np.ndarray:
     """Unnormalized forward DFT of a complex field."""
-    return np.fft.fft2(as_complex_field(field))
+    return np.fft.fft2(as_complex_field(field), out=out)
 
 
-def inverse_transform(spectrum) -> np.ndarray:
-    """Inverse DFT, normalized so that inverse(forward(g)) == g."""
-    return np.fft.ifft2(as_complex_field(spectrum))
+def inverse_transform(spectrum, *, out=None) -> np.ndarray:
+    """Inverse DFT, normalized so that inverse(forward(g)) == g.
+
+    The two 1D passes are ifft2's own, in its order. The second runs in
+    place, where ifft2(out=) allocates grid-sized temporaries.
+    """
+    out = np.fft.ifft(as_complex_field(spectrum), axis=-1, out=out)
+    return np.fft.ifft(out, axis=-2, out=out)
 
 
 def magnitude_of(spectrum) -> np.ndarray:
@@ -30,7 +40,7 @@ def magnitude_of(spectrum) -> np.ndarray:
     return np.abs(as_complex_field(spectrum))
 
 
-def impose_magnitude(spectrum, target) -> np.ndarray:
+def impose_magnitude(spectrum, target, *, out=None, modulus=None) -> np.ndarray:
     """Replace the spectrum's magnitude with `target`, keeping its phase.
 
     Each sample s becomes target * s/|s|: the unit phasor is formed first,
@@ -39,20 +49,23 @@ def impose_magnitude(spectrum, target) -> np.ndarray:
     instead, where s/|s| would be undefined or inexact. Zero-magnitude
     samples have undefined phase; they are assigned phase 0, i.e. the
     output there is exactly target + 0j.
+
+    A caller that already holds np.abs(spectrum) passes it as `modulus`;
+    it is read, never written.
     """
     s = as_complex_field(spectrum)
     t = np.asarray(target, dtype=np.float64)
     check_same_shape(s, t)
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise ValueError("target magnitude must be nonnegative and finite")
-    mod = np.abs(s)
+    mod = np.abs(s) if modulus is None else modulus
     regular = mod.min() >= _SMALLEST_NORMAL and mod.max() < np.inf
     if not regular:
         odd = ~((mod >= _SMALLEST_NORMAL) & (mod < np.inf))
-        # Phasor 0 there, overwritten below. mod is a fresh array; s may
-        # be the caller's own and is never written.
-        mod[odd] = np.inf
-    out = np.empty_like(s)
+        # Phasor 0 there, overwritten below.
+        mod = np.where(odd, np.inf, mod)
+    if out is None:
+        out = np.empty_like(s)
     np.divide(s.real, mod, out=out.real)
     np.divide(s.imag, mod, out=out.imag)
     out.real *= t

@@ -16,7 +16,12 @@ def as_complex_field(a) -> np.ndarray:
     f = np.asarray(a, dtype=np.complex128)
     if f.ndim != 2 or f.shape[0] < 2 or f.shape[1] < 2:
         raise ValueError(f"field must be 2D with both sides >= 2, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
+    # A NaN or inf sample makes the sum non-finite, so a finite sum proves
+    # every sample finite in one reduction. A sum of finite samples can
+    # still overflow; only then does the full scan decide.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sum = np.isfinite(np.sum(f))
+    if not finite_sum and not np.all(np.isfinite(f)):
         raise ValueError("field contains non-finite samples")
     return f
 
@@ -33,18 +38,38 @@ def as_mask(a) -> np.ndarray:
     return m
 
 
-def l2_norm(a) -> float:
+def l2_norm(a, *, out=None) -> float:
     """Euclidean norm of all samples of a real or complex array.
 
     A ufunc reduction rather than numpy's norm, whose BLAS dot runs on
     every core for large arrays (oversubscribing parallel sweep workers)
     and rounds according to the BLAS kernel and thread count. This result
-    depends on neither.
+    depends on neither. `out`, a real array of a's shape that is not `a`,
+    receives the squares instead of a new array.
     """
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        return float(np.sqrt(np.sum(a.real * a.real) + np.sum(a.imag * a.imag)))
-    return float(np.sqrt(np.sum(a * a)))
+        return float(np.sqrt(np.sum(np.multiply(a.real, a.real, out=out))
+                             + np.sum(np.multiply(a.imag, a.imag, out=out))))
+    return float(np.sqrt(np.sum(np.multiply(a, a, out=out))))
+
+
+class Workspace:
+    """Scratch arrays that one caller reuses across many calls.
+
+    `array(name, shape, dtype)` returns the array kept under `name`,
+    allocated on first use and again whenever the shape or dtype asked for
+    changes. Its contents are whatever the last user wrote.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
 
 
 def check_number(name: str, value, integer: bool = False) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import as_mask, check_number, check_same_shape, l2_norm
+from .grids import Workspace, as_mask, check_number, check_same_shape, l2_norm
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
 
@@ -55,16 +55,22 @@ def random_phase_init(width: int, height: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=(height, width))
 
 
-def hio_update(g_prev, g_hat, mask, beta: float) -> np.ndarray:
+def hio_update(g_prev, g_hat, mask, beta: float, *, out=None) -> np.ndarray:
     """Standard HIO support update: keep g_hat inside the support,
-    negative feedback g_prev - beta*g_hat outside it."""
+    negative feedback g_prev - beta*g_hat outside it. `out`, if given,
+    receives the result and must overlap neither field."""
     g_prev = np.asarray(g_prev)
     g_hat = np.asarray(g_hat)
     m = as_mask(mask)
     check_same_shape(g_prev, g_hat, m)
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
-    return np.where(m, g_hat, g_prev - beta * g_hat)
+    if out is None:
+        out = np.empty(m.shape, dtype=np.result_type(g_prev, g_hat, beta))
+    np.multiply(beta, g_hat, out=out)
+    np.subtract(g_prev, out, out=out)
+    np.copyto(out, g_hat, where=m)
+    return out
 
 
 def zero_outside_support(field, mask) -> np.ndarray:
@@ -108,8 +114,16 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *,
     start = time.perf_counter()
     height, width = mag.shape
     phase = random_phase_init(width, height, config.seed)
+    # The run's workspace: every grid-sized array the loop writes is one
+    # of these, so an iteration allocates no grid-sized array.
     spectrum = mag * np.exp(1j * phase)
     g = np.zeros_like(spectrum)
+    g_next = np.empty_like(spectrum)  # g and g_next swap every stage
+    transform = np.empty_like(spectrum)  # g_hat, then the forward transform
+    modulus = np.empty_like(mag)
+    deviation = np.empty_like(mag)  # |G| - magnitude
+    squares = np.empty_like(mag)
+    descent_work = Workspace()  # the descent's window-sized arrays
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
@@ -119,19 +133,22 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *,
         step_mask, step_window = m, window
         if initial_mask is not None and n < initial_iterations:
             step_mask, step_window = initial_mask, initial_window
-        g_hat = inverse_transform(spectrum)
-        g = hio_update(g, g_hat, step_mask, config.beta)
+        g_hat = inverse_transform(spectrum, out=transform)
+        g, g_next = hio_update(g, g_hat, step_mask, config.beta, out=g_next), g
         if do_descent:
-            g = sparsity_descent(g, step_window, config.penalty)
+            g, g_next = sparsity_descent(g, step_window, config.penalty, out=g_next,
+                                          work=descent_work), g
         try:
-            big_g = forward_transform(g)
+            big_g = forward_transform(g, out=transform)
         except ValueError as exc:
             # g has the grid's shape, so the only objection left is a
             # non-finite sample written by the support update or the descent.
             raise FloatingPointError(
                 f"non-finite field at iteration {n + 1} of {config.n_iterations}"
             ) from exc
-        residual_trace[n] = l2_norm(np.abs(big_g) - mag) / mag_norm
+        np.abs(big_g, out=modulus)
+        np.subtract(modulus, mag, out=deviation)
+        residual_trace[n] = l2_norm(deviation, out=squares) / mag_norm
         # A NaN or inf anywhere in the spectrum makes the residual non-finite,
         # so a blow-up stops the run at the iteration where it happens.
         if not np.isfinite(residual_trace[n]):
@@ -139,7 +156,7 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *,
                 f"non-finite Fourier residual at iteration {n + 1} of {config.n_iterations}"
             )
         penalty_trace[n] = penalty_value(g, window, config.penalty)
-        spectrum = impose_magnitude(big_g, mag)
+        spectrum = impose_magnitude(big_g, mag, out=spectrum, modulus=modulus)
 
     return RunReport(
         final_field=zero_outside_support(g, m),

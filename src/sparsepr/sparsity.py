@@ -10,6 +10,11 @@ Discretization: forward differences with replicate (Neumann) boundaries,
 so the last column of dx and last row of dy are zero. The divergence is
 the exact negative adjoint of this gradient, which makes the functional
 gradients pass finite-difference checks to machine-level accuracy.
+
+A function that takes a keyword `out` writes there what it would
+otherwise allocate and returns it, with the same bits; `out` must not
+overlap an input. A penalty value's `out` receives the per-pixel terms
+it sums.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import as_mask, bounding_box, check_number, check_same_shape
+from .grids import Workspace, as_mask, bounding_box, check_number, check_same_shape
 
 # Relative floor applied when scaling the TV smoothing epsilon.
 EPSILON_FLOOR = 1e-12
@@ -76,27 +81,33 @@ class PenaltySpec:
             object.__setattr__(self, "delta_rule", float(self.delta_rule))
 
 
-def discrete_gradient(field) -> tuple[np.ndarray, np.ndarray]:
+def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Forward-difference gradient (gx, gy); zero at the far edges."""
     f = np.asarray(field)
-    gx = np.zeros_like(f)
-    gy = np.zeros_like(f)
-    gx[:, :-1] = f[:, 1:] - f[:, :-1]
-    gy[:-1, :] = f[1:, :] - f[:-1, :]
+    gx, gy = (np.empty_like(f), np.empty_like(f)) if out is None else out
+    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    gx[:, -1:] = 0
+    np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
+    gy[-1:, :] = 0
     return gx, gy
 
 
-def discrete_divergence(gx, gy) -> np.ndarray:
+def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
     """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
     gx = np.asarray(gx)
     gy = np.asarray(gy)
     check_same_shape(gx, gy)
-    out = np.zeros_like(gx)
+    if out is None:
+        out = np.empty_like(gx)
+    out[...] = 0
     # Last column of gx / last row of gy never contribute to <grad f, p>,
     # so the adjoint ignores them; along an axis of length 1 nothing does.
     if out.shape[1] > 1:
         out[:, 0] += gx[:, 0]
-        out[:, 1:-1] += gx[:, 1:-1] - gx[:, :-2]
+        # (0 + a) - b rounds exactly as 0 + (a - b), signed zeros included,
+        # and needs no temporary.
+        out[:, 1:-1] += gx[:, 1:-1]
+        out[:, 1:-1] -= gx[:, :-2]
         out[:, -1] -= gx[:, -2]
     if out.shape[0] > 1:
         out[0, :] += gy[0, :]
@@ -160,9 +171,25 @@ class Gradient(NamedTuple):
     mag_sq: np.ndarray
 
 
-def gradient_of(field) -> Gradient:
-    gx, gy = discrete_gradient(field)
-    return Gradient(gx, gy, np.abs(gx) ** 2 + np.abs(gy) ** 2)
+def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
+    """The field's Gradient (`out` is a Gradient of arrays)."""
+    gx, gy = discrete_gradient(field, out=None if out is None else (out.gx, out.gy))
+    mag_sq = np.abs(gx, out=None if out is None else out.mag_sq)
+    np.square(mag_sq, out=mag_sq)
+    gy_sq = np.abs(gy)
+    mag_sq += np.square(gy_sq, out=gy_sq)
+    return Gradient(gx, gy, mag_sq)
+
+
+def _region_sum(values, submask) -> float:
+    """Sum of `values` where `submask` is true.
+
+    Over a full window a C-contiguous `values` is summed as it is: the
+    same samples in the same order as the boolean-indexed copy, so the
+    same bits, without the copy.
+    """
+    whole = submask.all() and values.flags.c_contiguous
+    return float(np.sum(values if whole else values[submask]))
 
 
 def tv_value(field, region=None) -> float:
@@ -172,43 +199,58 @@ def tv_value(field, region=None) -> float:
     outside-support content never leaks into the reported value.
     """
     sub, submask = _restrict(field, region)
-    return float(np.sum(np.sqrt(gradient_of(sub).mag_sq)[submask]))
+    mag_sq = gradient_of(sub).mag_sq
+    return _region_sum(np.sqrt(mag_sq, out=mag_sq), submask)
 
 
-def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None) -> float:
+def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None, *,
+                      out=None) -> float:
     """TV with the modulus smoothed to sqrt(|grad|^2 + eps^2).
 
     This is the exact antiderivative of `tv_gradient`, used by the line
-    search and the finite-difference gradient checks.
+    search and the finite-difference gradient checks. Its per-pixel terms
+    are the `scale` that tv_gradient takes.
     """
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    return float(np.sum(np.sqrt(grad.mag_sq + epsilon**2)[submask]))
+    smoothed = np.add(grad.mag_sq, epsilon**2, out=out)
+    return _region_sum(np.sqrt(smoothed, out=smoothed), submask)
 
 
-def tv_gradient(field, epsilon, grad: Gradient | None = None) -> np.ndarray:
-    """Functional gradient of the smoothed TV: -div(grad f / sqrt(|grad f|^2 + eps^2))."""
+def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
+                out=None) -> np.ndarray:
+    """Functional gradient of the smoothed TV: -div(grad f / sqrt(|grad f|^2 + eps^2)).
+
+    A caller holding sqrt(|grad f|^2 + eps^2) of this gradient, as
+    smoothed_tv_value's `out` leaves it, passes it as `scale`.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     if grad is None:
         grad = gradient_of(field)
-    scale = np.sqrt(grad.mag_sq + epsilon**2)
-    return -discrete_divergence(grad.gx / scale, grad.gy / scale)
+    if scale is None:
+        scale = np.sqrt(grad.mag_sq + epsilon**2)
+    out = discrete_divergence(grad.gx / scale, grad.gy / scale, out=out)
+    return np.negative(out, out=out)
 
 
-def huber_value(field, delta, region=None, grad: Gradient | None = None) -> float:
+def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
+                out=None) -> float:
     """Huber-style penalty sum of sqrt(1 + |grad g|^2/delta^2) - 1 over `region`."""
     if not delta > 0:
         raise ValueError("delta must be > 0")
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    per_pixel = np.sqrt(1.0 + grad.mag_sq / delta**2) - 1.0
-    return float(np.sum(per_pixel[submask]))
+    per_pixel = np.divide(grad.mag_sq, delta**2, out=out)
+    per_pixel += 1.0
+    np.sqrt(per_pixel, out=per_pixel)
+    per_pixel -= 1.0
+    return _region_sum(per_pixel, submask)
 
 
-def huber_gradient(field, delta, grad: Gradient | None = None) -> np.ndarray:
+def huber_gradient(field, delta, grad: Gradient | None = None, *, out=None) -> np.ndarray:
     """Functional gradient of the Huber penalty.
 
     -(1/delta^2) div(grad f / sqrt(1 + |grad f|^2/delta^2)); the
@@ -218,8 +260,13 @@ def huber_gradient(field, delta, grad: Gradient | None = None) -> np.ndarray:
         raise ValueError("delta must be > 0")
     if grad is None:
         grad = gradient_of(field)
-    scale = np.sqrt(1.0 + grad.mag_sq / delta**2)
-    return -discrete_divergence(grad.gx / scale, grad.gy / scale) / delta**2
+    scale = grad.mag_sq / delta**2
+    scale += 1.0
+    np.sqrt(scale, out=scale)
+    out = discrete_divergence(grad.gx / scale, grad.gy / scale, out=out)
+    np.negative(out, out=out)
+    out /= delta**2
+    return out
 
 
 def select_delta(field, region=None, grad: Gradient | None = None) -> float:
@@ -239,7 +286,8 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     return 1e-6 * (peak if peak > 0 else 1.0)
 
 
-def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None) -> float:
+def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None, *,
+                      out=None) -> float:
     """Armijo backtracking along `descent_dir` (= minus the penalty gradient).
 
     Tries t = t0 * LS_SHRINK^k for k = 0..60, where t0 is t_init rescaled
@@ -250,24 +298,26 @@ def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None) -
     A caller that already knows penalty(field) passes it as `p0`, which
     saves one evaluation; penalty is then called on trial points only.
 
-    When it returns t > 0, its last call to `penalty` was on the accepted
-    trial field + t*d, so a penalty that records its argument holds the
-    next iterate; sparsity_descent relies on this.
+    Each trial field + t*d is written into `out`, if given. When it returns
+    t > 0, its last call to `penalty` was on the accepted trial, which is
+    then in `out`; sparsity_descent relies on this.
     """
     d = np.asarray(descent_dir)
     d_abs = np.abs(d)
-    d_sq = float(np.sum(d_abs ** 2))
+    d_max = float(np.max(d_abs)) if d.size else 0.0
+    d_sq = float(np.sum(np.square(d_abs, out=d_abs)))
     if p0 is None:
         p0 = penalty(field)
-    t = spec.t_init / max(1.0, float(np.max(d_abs)) if d.size else 0.0)
+    t = spec.t_init / max(1.0, d_max)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
-        if penalty(field + t * d) <= p0 - LS_ALPHA * t * d_sq:
+        if penalty(np.add(field, np.multiply(t, d, out=out), out=out)) <= p0 - LS_ALPHA * t * d_sq:
             return t
         t *= LS_SHRINK
     return 0.0
 
 
-def sparsity_descent(field, region, spec: PenaltySpec) -> np.ndarray:
+def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
+                     work: Workspace | None = None) -> np.ndarray:
     """Run spec.n_inner_steps penalty-descent steps on the in-support pixels.
 
     Work happens on the region's bounding-box window (`region` is a mask
@@ -278,14 +328,24 @@ def sparsity_descent(field, region, spec: PenaltySpec) -> np.ndarray:
     A step is tv_gradient (or select_delta and huber_gradient) followed by
     backtracking_step with the penalty's value function. The accepted
     line-search trial is the next iterate, so its Gradient and, for TV
-    (whose epsilon is fixed for the call), its penalty value carry over as
-    that step's `grad` and `p0`: a step differences one array per trial.
+    (whose epsilon is fixed for the call), its penalty value and per-pixel
+    smoothed modulus carry over as that step's `grad`, `p0` and `scale`:
+    a step differences one array per trial.
+
+    The window-sized arrays the steps write (two iterates, one Gradient,
+    the per-pixel penalty and the direction) come from `work`, so a caller
+    that passes the same Workspace to every call allocates them once.
     """
+    f = np.asarray(field)
+    if out is None:
+        out = np.empty_like(f)
+    np.copyto(out, f)
     if spec.kind == "none":
-        return np.array(field, copy=True)
-    f, window = _window_of(field, region)
+        return out
+    f, window = _window_of(f, region)
     sub = f[window.rows, window.cols]
     inside = window.mask
+    outside = None if inside.all() else ~inside
     # The window's own window: `sub` is all of it, so penalty calls crop nothing.
     local = SupportWindow(sub.shape, slice(None), slice(None), inside)
     tv = spec.kind == "tv"
@@ -294,34 +354,53 @@ def sparsity_descent(field, region, spec: PenaltySpec) -> np.ndarray:
     elif spec.delta_rule != "median":
         delta = spec.delta_rule
 
-    def penalty(g) -> float:
-        """Penalty of a line-search trial; the trial is kept in `accepted`."""
-        nonlocal accepted
-        g_grad = gradient_of(g)
-        if tv:
-            value = smoothed_tv_value(g, eps, local, g_grad)
-        else:
-            value = huber_value(g, delta, local, g_grad)
-        accepted = g, g_grad, value
-        return value
+    if work is None:
+        work = Workspace()
+    dtype = np.result_type(sub, 1.0)
+    real = np.finfo(dtype).dtype
 
-    grad = gradient_of(sub)
-    p0 = smoothed_tv_value(sub, eps, local, grad) if tv else None
-    accepted = None
+    def buffer(name, kind=dtype):
+        return work.array("sparsity_descent." + name, sub.shape, kind)
+
+    # The line search reads `sub` while it writes a trial, so the iterate
+    # alternates between two arrays and never lands in the caller's field.
+    trial, spare = buffer("iterate_a"), buffer("iterate_b")
+    direction = buffer("direction")
+    per_pixel = buffer("per_pixel", real)
+    grad = gradient_of(sub, out=Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", real)))
+    last = None
+
+    def penalty(g) -> float:
+        """Penalty of a line-search trial. Its Gradient and per-pixel values
+        overwrite `grad` and `per_pixel`, which the step no longer reads."""
+        nonlocal last
+        gradient_of(g, out=grad)
+        if tv:
+            last = smoothed_tv_value(g, eps, local, grad, out=per_pixel)
+        else:
+            last = huber_value(g, delta, local, grad, out=per_pixel)
+        return last
+
+    p0 = smoothed_tv_value(sub, eps, local, grad, out=per_pixel) if tv else None
     for _ in range(spec.n_inner_steps):
         if tv:
-            step = tv_gradient(sub, eps, grad)
+            tv_gradient(sub, eps, grad, scale=per_pixel, out=direction)
         else:
             if spec.delta_rule == "median":
                 delta = select_delta(sub, local, grad)
-            step = huber_gradient(sub, delta, grad)
-            p0 = huber_value(sub, delta, local, grad)
-        direction = np.where(inside, -step, 0)
-        if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0) == 0.0:
+            huber_gradient(sub, delta, grad, out=direction)
+            p0 = huber_value(sub, delta, local, grad, out=per_pixel)
+        np.negative(direction, out=direction)
+        if outside is not None:
+            np.copyto(direction, 0, where=outside)
+        if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0,
+                                                    out=trial) == 0.0:
             break
-        # t > 0: the last penalty call was the accepted trial sub + t*direction.
-        sub, grad, p0 = accepted
+        # t > 0: the last penalty call was on the accepted trial, now in
+        # `trial`, and left its Gradient in `grad` and, for TV, its smoothed
+        # modulus in `per_pixel`.
+        sub, p0 = trial, last
+        trial, spare = spare, trial
 
-    out = f.copy()
-    out[window.rows, window.cols] = np.where(inside, sub, out[window.rows, window.cols])
+    np.copyto(out[window.rows, window.cols], sub, where=inside)
     return out

@@ -195,8 +195,8 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
     make_inputs(tmp_path)
     real_descent = retrieval.sparsity_descent
 
-    def descent_with_nan(g, window, spec):
-        g = real_descent(g, window, spec)
+    def descent_with_nan(g, window, spec, **kwargs):
+        g = real_descent(g, window, spec, **kwargs)
         g[window.rows.start, window.cols.start] = np.nan
         return g
 
@@ -288,6 +288,26 @@ def test_metrics_refuses_non_finite_mask(tmp_path, capsys):
     assert code == EXIT_DATA
     captured = capsys.readouterr()
     assert f"mask file {mask} has non-finite samples" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("role", ["recon", "truth"])
+@pytest.mark.parametrize("value", [np.nan, complex(0, np.inf)])
+def test_metrics_refuses_non_finite_field(tmp_path, capsys, role, value):
+    # one bad in-support sample used to print bare NaN (not JSON) and
+    # "twin_present": false, with exit 0
+    truth, mask, _ = make_inputs(tmp_path)
+    bad = truth.copy()
+    bad[16, 16] = value
+    assert mask[16, 16]
+    path = tmp_path / f"bad_{role}.prf1"
+    write_field_file(bad, path)
+    files = {"recon": tmp_path / "truth.prf1", "truth": tmp_path / "truth.prf1", role: path}
+    code = main(["metrics", "--recon", str(files["recon"]), "--truth", str(files["truth"]),
+                 "--mask", str(tmp_path / "support.prf1")])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"{role} file {path} has non-finite samples" in captured.err
     assert captured.out == ""
 
 

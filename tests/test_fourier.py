@@ -212,3 +212,30 @@ def test_impose_magnitude_output_finite_with_subnormal_samples(case, data):
     subnormal = data.draw(hnp.arrays(np.bool_, s.shape))
     s[subnormal] = data.draw(st.sampled_from([5e-324, 1e-310 - 2e-320j, -3e-320j]))
     assert np.all(np.isfinite(impose_magnitude(s, t)))
+
+
+# ------------------------------------------------------------ out= arguments
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 17), st.integers(2, 17), st.integers(0, 2**32 - 1))
+def test_transforms_into_out_are_byte_equal(h, w, seed):
+    field = random_field((h, w), seed) * 10.0 ** np.random.default_rng(seed).uniform(-100, 100)
+    before = field.tobytes()
+    for transform, numpy_fn in ((forward_transform, np.fft.fft2), (inverse_transform, np.fft.ifft2)):
+        out = np.empty_like(field)
+        assert transform(field, out=out) is out
+        assert out.tobytes() == transform(field).tobytes() == numpy_fn(field).tobytes()
+    assert field.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_targets(), st.data())
+def test_impose_magnitude_into_out_with_the_modulus_is_byte_equal(case, data):
+    s, t = case
+    s[data.draw(hnp.arrays(np.bool_, s.shape))] = 0  # irregular samples too
+    modulus = np.abs(s)
+    inputs = (s.tobytes(), t.tobytes(), modulus.tobytes())
+    out = np.empty_like(s)
+    assert impose_magnitude(s, t, out=out, modulus=modulus) is out
+    assert out.tobytes() == impose_magnitude(s, t).tobytes()
+    assert (s.tobytes(), t.tobytes(), modulus.tobytes()) == inputs

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sparsepr
-from sparsepr.grids import (as_complex_field, as_mask, bounding_box, check_number,
+from sparsepr.grids import (Workspace, as_complex_field, as_mask, bounding_box, check_number,
                             is_centrosymmetric, l2_norm)
 
 
@@ -17,6 +18,61 @@ def test_rejects_nan():
     f[1, 1] = np.nan
     with pytest.raises(ValueError):
         as_complex_field(f)
+
+
+# Non-finite values, values whose sum overflows, and ordinary ones.
+_PARTS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308,
+                                    np.finfo(np.float64).max]),
+                   st.floats(-1e3, 1e3))
+
+
+def _complex(re, im):
+    f = np.empty(re.shape, dtype=np.complex128)
+    f.real, f.imag = re, im
+    return f
+
+
+_SHAPES = st.shared(st.tuples(st.integers(2, 5), st.integers(2, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, _SHAPES, elements=_PARTS),
+       hnp.arrays(np.float64, _SHAPES, elements=_PARTS))
+def test_as_complex_field_rejects_exactly_what_the_full_scan_rejects(re, im):
+    zeros = np.zeros(re.shape)
+    for field in (_complex(re, im), _complex(re, zeros), _complex(zeros, im), re):
+        if np.all(np.isfinite(field)):
+            assert as_complex_field(field).tobytes() == field.astype(np.complex128).tobytes()
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                as_complex_field(field)
+
+
+def test_as_complex_field_accepts_finite_samples_whose_sum_overflows():
+    f = np.full((3, 3), 1.7e308 - 1.7e308j)
+    assert as_complex_field(f) is f
+
+
+def test_workspace_keeps_an_array_per_name_shape_and_dtype():
+    work = Workspace()
+    a = work.array("a", (3, 4), np.complex128)
+    assert a.shape == (3, 4) and a.dtype == np.complex128
+    assert work.array("a", (3, 4), np.complex128) is a
+    assert work.array("b", (3, 4), np.complex128) is not a
+    assert work.array("a", (4, 3), np.complex128).shape == (4, 3)
+    assert work.array("a", (4, 3), np.float64).dtype == np.float64
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_l2_norm_into_out_is_byte_equal(complex_):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(9, 7)) * 10.0 ** rng.uniform(-150, 150, size=(9, 7))
+    if complex_:
+        a = a + 1j * rng.normal(size=(9, 7))
+    before = a.tobytes()
+    squares = np.empty((9, 7))
+    assert np.float64(l2_norm(a, out=squares)).tobytes() == np.float64(l2_norm(a)).tobytes()
+    assert a.tobytes() == before
 
 
 def test_rejects_tiny_grid():

@@ -66,6 +66,27 @@ def test_hio_update_matches_pixel_loop():
                 assert out[y, x] == g_prev[y, x] - beta * g_hat[y, x]
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_hio_update_into_out_is_byte_equal_to_the_where_form(dtype):
+    rng = np.random.default_rng(1)
+    g_prev = rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7))
+    g_hat = rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7))
+    if dtype == np.float64:
+        g_prev, g_hat = g_prev.real.copy(), g_hat.real.copy()
+    g_prev[0, :3] = [0.0, -0.0, np.finfo(np.float64).tiny]
+    g_hat[1, :3] = [-0.0, 0.0, -5e-324]
+    mask = rng.random((6, 7)) < 0.5
+    mask[0, 0] = True
+    inputs = (g_prev.tobytes(), g_hat.tobytes(), mask.tobytes())
+    out = np.empty_like(g_prev)
+    assert hio_update(g_prev, g_hat, mask, 0.9, out=out) is out
+    where_form = np.where(mask, g_hat, g_prev - 0.9 * g_hat)
+    assert out.dtype == where_form.dtype
+    assert out.tobytes() == where_form.tobytes()
+    assert hio_update(g_prev, g_hat, mask, 0.9).tobytes() == where_form.tobytes()
+    assert (g_prev.tobytes(), g_hat.tobytes(), mask.tobytes()) == inputs
+
+
 def test_hio_update_rejects_bad_beta():
     g = np.zeros((3, 3), dtype=np.complex128)
     mask = np.ones((3, 3), dtype=bool)
@@ -237,9 +258,9 @@ def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
     real_forward = retrieval.forward_transform
     calls = []
 
-    def forward_with_nan_at_3(field):
+    def forward_with_nan_at_3(field, **kwargs):
         calls.append(1)
-        spectrum = real_forward(field)
+        spectrum = real_forward(field, **kwargs)
         if len(calls) == 3:
             spectrum[0, 0] = np.nan
         return spectrum
@@ -260,9 +281,9 @@ def test_non_finite_iterate_is_a_numerical_failure(monkeypatch, target, kind):
     real_step = getattr(retrieval, target)
     calls = []
 
-    def step_with_nan_at_2(*args):
+    def step_with_nan_at_2(*args, **kwargs):
         calls.append(1)
-        g = real_step(*args)
+        g = real_step(*args, **kwargs)
         if len(calls) == 2:
             g[mask] = np.nan
         return g
@@ -316,6 +337,20 @@ def test_rejects_all_zero_magnitude():
 
 
 # ------------------------------------------------------------ loop structure
+
+@pytest.mark.parametrize("kind", ["none", "tv", "huber"])
+def test_engines_leave_their_inputs_untouched(kind):
+    _, mask, magnitude = small_problem()
+    initial = mask.copy()
+    initial[mask.nonzero()[0][0]] = False
+    inputs = (magnitude.tobytes(), mask.tobytes(), initial.tobytes())
+    cfg = RetrievalConfig(n_iterations=4, penalty=PenaltySpec(kind=kind, n_inner_steps=3))
+    if kind == "none":
+        run_hio(magnitude, mask, cfg, initial_mask=initial, initial_iterations=2)
+    else:
+        run_sparse_hio(magnitude, mask, cfg)
+    assert (magnitude.tobytes(), mask.tobytes(), initial.tobytes()) == inputs
+
 
 def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch):
     # the stages are looked up on the retrieval module at call time, so a

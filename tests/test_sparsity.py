@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsepr import sparsity
+from sparsepr.grids import Workspace
 from sparsepr.sparsity import (
     EPSILON_FLOOR,
+    Gradient,
     PenaltySpec,
     backtracking_step,
     discrete_divergence,
@@ -494,3 +497,147 @@ def test_fixed_delta_must_be_a_real_number(delta):
 def test_fixed_delta_is_stored_as_float():
     spec = PenaltySpec(kind="huber", delta_rule=2)
     assert spec.delta_rule == 2.0 and type(spec.delta_rule) is float
+
+
+# ------------------------------------------------------------ out= arguments
+
+def _old_discrete_gradient(f):
+    """discrete_gradient as first written: zero-filled arrays, sliced assignment."""
+    gx = np.zeros_like(f)
+    gy = np.zeros_like(f)
+    gx[:, :-1] = f[:, 1:] - f[:, :-1]
+    gy[:-1, :] = f[1:, :] - f[:-1, :]
+    return gx, gy
+
+
+def _old_discrete_divergence(gx, gy):
+    """discrete_divergence as first written: accumulate into zeros, one
+    temporary per interior difference."""
+    out = np.zeros_like(gx)
+    if out.shape[1] > 1:
+        out[:, 0] += gx[:, 0]
+        out[:, 1:-1] += gx[:, 1:-1] - gx[:, :-2]
+        out[:, -1] -= gx[:, -2]
+    if out.shape[0] > 1:
+        out[0, :] += gy[0, :]
+        out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
+        out[-1, :] -= gy[-2, :]
+    return out
+
+
+@st.composite
+def signed_zero_fields(draw):
+    """Complex fields, 1-wide ones included, with many +0/-0 components."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+    field = np.empty(shape, dtype=np.complex128)
+    field.real = draw(hnp.arrays(np.float64, shape, elements=parts))
+    field.imag = draw(hnp.arrays(np.float64, shape, elements=parts))
+    return field
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_zero_fields(), signed_zero_fields())
+def test_stencils_match_their_first_form_bit_for_bit(f, p):
+    before = f.tobytes()
+    old = _old_discrete_gradient(f)
+    pair = (np.empty_like(f), np.empty_like(f))
+    for gx, gy in (discrete_gradient(f), discrete_gradient(f, out=pair)):
+        assert gx.tobytes() == old[0].tobytes() and gy.tobytes() == old[1].tobytes()
+    assert f.tobytes() == before
+    for gx, gy in (old, (p, p[::-1])):
+        inputs = (gx.tobytes(), gy.tobytes())
+        out = np.empty_like(gx)
+        assert discrete_divergence(gx, gy, out=out) is out
+        assert out.tobytes() == _old_discrete_divergence(gx, gy).tobytes()
+        assert discrete_divergence(gx, gy).tobytes() == out.tobytes()
+        assert (gx.tobytes(), gy.tobytes()) == inputs
+
+
+def _gradient_buffers(shape):
+    return Gradient(np.empty(shape, np.complex128), np.empty(shape, np.complex128),
+                    np.empty(shape))
+
+
+def test_gradient_of_into_out_is_byte_equal():
+    f = random_field((7, 9), 60)
+    gx, gy = _old_discrete_gradient(f)
+    out = _gradient_buffers(f.shape)
+    grad = gradient_of(f, out=out)
+    assert all(a is b for a, b in zip(grad, out))
+    for got in (grad, gradient_of(f)):
+        assert got.gx.tobytes() == gx.tobytes() and got.gy.tobytes() == gy.tobytes()
+        assert got.mag_sq.tobytes() == (np.abs(gx) ** 2 + np.abs(gy) ** 2).tobytes()
+
+
+def _regions(shape):
+    """A full region and a ragged one, as masks."""
+    ragged = np.ones(shape, dtype=bool)
+    ragged[0, 0] = ragged[-1, 1] = False
+    return np.ones(shape, dtype=bool), ragged
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_penalty_values_into_out_are_byte_equal(ragged):
+    f = _step_edge_with_noise(n=12, seed=61)
+    region = _regions(f.shape)[ragged]
+    grad = gradient_of(f)
+    before = [a.tobytes() for a in (f, *grad)]
+    smoothed = np.sqrt(grad.mag_sq + 1e-3**2)
+    huber = np.sqrt(1.0 + grad.mag_sq / 0.4**2) - 1.0
+    # a strided `out` too, which must not change the summation order
+    for out in (np.empty(f.shape), np.empty((f.shape[0], 2 * f.shape[1]))[:, ::2]):
+        value = smoothed_tv_value(f, 1e-3, region, grad, out=out)
+        assert out.tobytes() == smoothed.tobytes()
+        assert value == smoothed_tv_value(f, 1e-3, region) == float(np.sum(smoothed[region]))
+        value = huber_value(f, 0.4, region, grad, out=out)
+        assert out.tobytes() == huber.tobytes()
+        assert value == huber_value(f, 0.4, region) == float(np.sum(huber[region]))
+    assert tv_value(f, region) == float(np.sum(np.sqrt(grad.mag_sq)[region]))
+    assert [a.tobytes() for a in (f, *grad)] == before
+
+
+def test_penalty_gradients_into_out_are_byte_equal():
+    f = _step_edge_with_noise(n=12, seed=62)
+    grad = gradient_of(f)
+    scale = np.sqrt(grad.mag_sq + 1e-3**2)
+    before = [a.tobytes() for a in (f, *grad, scale)]
+    out = np.empty_like(f)
+    assert tv_gradient(f, 1e-3, grad, scale=scale, out=out) is out
+    assert out.tobytes() == tv_gradient(f, 1e-3).tobytes()
+    assert huber_gradient(f, 0.4, grad, out=out) is out
+    assert out.tobytes() == huber_gradient(f, 0.4).tobytes()
+    assert [a.tobytes() for a in (f, *grad, scale)] == before
+
+
+@pytest.mark.parametrize("t_init", [0.02, 50.0])
+def test_backtracking_into_out_keeps_the_accepted_trial(t_init):
+    f = _step_edge_with_noise(n=10, seed=63)
+    d = -tv_gradient(f, 1e-3)
+    spec = PenaltySpec(kind="tv", t_init=t_init)
+    trials = []
+
+    def penalty(g):
+        trials.append(g.copy())
+        return smoothed_tv_value(g, 1e-3)
+
+    before = (f.tobytes(), d.tobytes())
+    out = np.empty_like(f)
+    t = backtracking_step(f, d, penalty, spec, out=out)
+    assert t > 0 and t == backtracking_step(f, d, lambda g: smoothed_tv_value(g, 1e-3), spec)
+    assert out.tobytes() == trials[-1].tobytes() == (f + t * d).tobytes()
+    assert (f.tobytes(), d.tobytes()) == before
+    if t_init > 1:
+        assert len(trials) > 2  # p0, then rejected trials before the accepted one
+
+
+@settings(max_examples=100, deadline=None)
+@given(descent_cases(), descent_cases())
+def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
+    work = Workspace()
+    for field, mask, spec in (case, other, case):
+        before = (field.tobytes(), mask.tobytes())
+        out = np.empty_like(field)
+        assert sparsity_descent(field, mask, spec, out=out, work=work) is out
+        assert out.tobytes() == sparsity_descent(field, mask, spec).tobytes()
+        assert (field.tobytes(), mask.tobytes()) == before
