@@ -176,11 +176,6 @@ def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
     return echo
 
 
-def _run_engine(magnitude, mask, config) -> retrieval.RunReport:
-    engine = retrieval.run_hio if config.penalty.kind == "none" else retrieval.run_sparse_hio
-    return engine(magnitude, mask, config)
-
-
 def cmd_retrieve(args) -> int:
     settings = {name: getattr(args, name) for name in PENALTY_SETTINGS
                 if getattr(args, name) is not None}
@@ -195,7 +190,7 @@ def cmd_retrieve(args) -> int:
         raise UsageError(str(exc)) from exc
     magnitude = read_field_file(args.magnitude).real
     mask = _load_mask(args.mask)
-    report = _run_engine(magnitude, mask, config)
+    report = retrieval.run_hio(magnitude, mask, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_field_file(report.final_field, out / "recon.prf1")
@@ -220,7 +215,7 @@ def _sweep_cell(payload):
     """One (algorithm, seed) cell; runs in a worker process when the sweep has a pool."""
     alg, seed, penalty, loop, magnitude, mask, out_dir = payload
     config = retrieval.RetrievalConfig(seed=seed, penalty=penalty, **loop)
-    report = _run_engine(magnitude, mask, config)
+    report = retrieval.run_hio(magnitude, mask, config)
     stem = f"recon_{alg}_{seed:08d}"
     write_field_file(report.final_field, Path(out_dir) / f"{stem}.prf1")
     _dump_json(
@@ -410,7 +405,7 @@ def main(argv=None) -> int:
     except (FieldFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

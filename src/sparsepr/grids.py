@@ -73,11 +73,21 @@ class Workspace:
 
 
 def check_number(name: str, value, integer: bool = False) -> None:
-    """Raise ValueError unless `value` is a real number (an integer if
-    `integer`). A bool is neither: a setting is never a flag."""
+    """Raise ValueError unless `value` is a finite real number (an integer
+    if `integer`). A bool is neither: a setting is never a flag."""
     if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
         kind = "an integer" if integer else "a real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    # A NaN fails both comparisons; an int of any size passes them.
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_magnitude(t: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every sample of the nonempty real array `t`
+    is nonnegative and finite. A NaN minimum fails the first comparison."""
+    if not (t.min() >= 0 and t.max() < np.inf):
+        raise ValueError(f"{what} must be nonnegative and finite")
 
 
 def check_same_shape(*arrays) -> None:

@@ -1,9 +1,8 @@
 """Hybrid input-output phase retrieval, plain and with a sparsity step.
 
-Both engines run the same outer loop; the sparse variant inserts a block
-of penalty-descent steps on the in-support region between the support
-update and the Fourier-magnitude replacement, which is what breaks the
-twin-image stagnation.
+One engine, `run_hio`, runs every penalty kind: plain HIO is the sparse
+loop with no descent block between the support update and the
+Fourier-magnitude replacement.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import Workspace, as_mask, check_number, check_same_shape, l2_norm
+from .grids import Workspace, as_mask, check_magnitude, check_number, check_same_shape, l2_norm
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
 
@@ -93,13 +92,28 @@ def penalty_value(field, region, spec: PenaltySpec) -> float:
     return tv_value(field, region)
 
 
-def _run_loop(magnitude, mask, config: RetrievalConfig, *,
-              initial_mask=None, initial_iterations: int = 0) -> RunReport:
+def run_hio(magnitude, mask, config: RetrievalConfig, *,
+            initial_mask=None, initial_iterations: int = 0) -> RunReport:
+    """HIO with the object support as the constraint, for every penalty kind.
+
+    Plain HIO when the penalty kind is "none" or n_inner_steps is 0;
+    otherwise n_inner_steps penalty-descent steps on the in-support region
+    follow each support update, which breaks the twin-image stagnation.
+
+    `initial_mask` replaces the support in the support update and the
+    descent for the first `initial_iterations` iterations (the classic
+    twin-avoidance truncation); the full mask gives the penalty trace and
+    the final zeroing.
+    """
+    check_number("initial_iterations", initial_iterations, integer=True)
+    if initial_iterations < 0:
+        raise ValueError("initial_iterations must be >= 0")
+    if initial_iterations > 0 and initial_mask is None:
+        raise ValueError("initial_iterations > 0 needs an initial_mask")
     mag = np.asarray(magnitude, dtype=np.float64)
     m = as_mask(mask)
     check_same_shape(mag, m)
-    if np.any(mag < 0) or not np.all(np.isfinite(mag)):
-        raise ValueError("magnitude data must be nonnegative and finite")
+    check_magnitude(mag, "magnitude data")
     if not mag.any():
         raise ValueError("magnitude data is all zero")
     # Masks are checked and cut to their windows once per run; the loop
@@ -167,25 +181,6 @@ def _run_loop(magnitude, mask, config: RetrievalConfig, *,
     )
 
 
-def run_hio(magnitude, mask, config: RetrievalConfig, *,
-            initial_mask=None, initial_iterations: int = 0) -> RunReport:
-    """Plain HIO with the object support as the only constraint.
-
-    `initial_mask`/`initial_iterations` optionally substitute a truncated
-    support for the first few iterations (the classic twin-avoidance
-    heuristic); the full mask is used from then on and for the final
-    zeroing.
-    """
-    if config.penalty.kind != "none":
-        raise ValueError("run_hio requires penalty kind 'none'")
-    return _run_loop(magnitude, mask, config,
-                     initial_mask=initial_mask, initial_iterations=initial_iterations)
-
-
-def run_sparse_hio(magnitude, mask, config: RetrievalConfig) -> RunReport:
-    """Modified HIO: per iteration, inverse transform, support update,
-    n_inner_steps penalty-descent steps on the in-support region, forward
-    transform, magnitude replacement."""
-    if config.penalty.kind not in ("tv", "huber"):
-        raise ValueError("run_sparse_hio requires penalty kind 'tv' or 'huber'")
-    return _run_loop(magnitude, mask, config)
+# The sparse variant's old name, kept for existing callers. An alias, not a
+# wrapper, so a wrapper installed on either name sees one call per run.
+run_sparse_hio = run_hio

@@ -46,11 +46,10 @@ def golden_traces() -> dict:
     out = {}
     for engine, (phantom, penalty) in ENGINES.items():
         mask, magnitude = problem(phantom)
-        run = sp.run_hio if penalty == "none" else sp.run_sparse_hio
         for seed in SEEDS:
             config = sp.RetrievalConfig(beta=0.9, n_iterations=N_ITERATIONS, seed=seed,
                                         penalty=sp.PenaltySpec(kind=penalty))
-            report = run(magnitude, mask, config)
+            report = sp.run_hio(magnitude, mask, config)
             for name in TRACES:
                 out[f"{engine}_s{seed}_{name}"] = getattr(report, name)
     return out

@@ -51,16 +51,11 @@ def gray_problem():
 
 def run_batch(magnitude, mask, algorithm, seeds):
     reports = []
+    kind = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}[algorithm]
     for seed in seeds:
-        if algorithm == "hio":
-            cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS,
-                                     seed=seed, penalty=sp.PenaltySpec(kind="none"))
-            reports.append(sp.run_hio(magnitude, mask, cfg))
-        else:
-            kind = "tv" if algorithm == "hio-tv" else "huber"
-            cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS,
-                                     seed=seed, penalty=sp.PenaltySpec(kind=kind))
-            reports.append(sp.run_sparse_hio(magnitude, mask, cfg))
+        cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS,
+                                 seed=seed, penalty=sp.PenaltySpec(kind=kind))
+        reports.append(sp.run_hio(magnitude, mask, cfg))
     return reports
 
 

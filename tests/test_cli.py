@@ -109,6 +109,16 @@ def test_phantom_two_pixel_support_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ph").exists()
 
 
+@pytest.mark.parametrize("flag", ["--step", "--range"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_phantom_non_finite_setting_is_usage_error(tmp_path, capsys, flag, value):
+    code = main(["phantom", f"{flag}={value}", "--size", "32", "--support", "12",
+                 "--out", str(tmp_path / "ph")])
+    assert code == EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ph").exists()
+
+
 def test_forward_command(tmp_path):
     truth, _, magnitude = make_inputs(tmp_path)
     out = tmp_path / "fw"
@@ -229,6 +239,37 @@ def test_retrieve_negative_seed_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "bad")])
     assert code == EXIT_USAGE
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("alg, flag, value", [
+    ("hio-tv", "--tinit", "inf"), ("hio-tv", "--eps", "inf"), ("hio-tv", "--eps", "nan"),
+    ("hio-huber", "--delta", "inf"), ("hio-huber", "--delta", "nan")])
+def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag, value):
+    make_inputs(tmp_path)
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", alg, "--iters", "2", flag, value,
+                 "--out", str(tmp_path / "bad")])
+    assert code == EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("alg, flag", [("hio-tv", "--eps"), ("hio-huber", "--delta")])
+def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys, alg, flag):
+    # epsilon**2 and delta**2 of a Python float raise OverflowError
+    make_inputs(tmp_path)
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", alg, "--iters", "2", flag, "1e300",
+                 "--out", str(tmp_path / "big")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "big").exists()
 
 
 def test_metrics_command(tmp_path, capsys):
@@ -382,7 +423,7 @@ def test_sweep_rejects_repeated_or_no_algorithms(tmp_path, capsys, algorithms):
 
 @pytest.mark.parametrize("key, value", [
     ("pattern_seed", 1.5), ("image_size", 32.0), ("pattern_seed", True), ("pattern_seed", -1),
-    ("phase_step", True)])
+    ("phase_step", True), ("phase_step", float("inf")), ("phase_range", float("nan"))])
 def test_sweep_rejects_bad_phantom_setting_before_writing(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
     payload = json.loads(cfg.read_text())
@@ -434,7 +475,8 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("epsilon", -1), ("delta", "foo"), ("delta", True), ("t_init", 0), ("n_inner_steps", 2.5),
-    ("epsilon", True), ("t_init", True)])
+    ("epsilon", True), ("t_init", True), ("t_init", float("inf")), ("epsilon", float("nan")),
+    ("delta", float("inf"))])
 def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
     payload = json.loads(cfg.read_text())

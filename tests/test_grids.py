@@ -4,13 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sparsepr
-from sparsepr.grids import (Workspace, as_complex_field, as_mask, bounding_box, check_number,
-                            is_centrosymmetric, l2_norm)
+from sparsepr.grids import (Workspace, as_complex_field, as_mask, bounding_box, check_magnitude,
+                            check_number, is_centrosymmetric, l2_norm)
 
 
 def test_rejects_nan():
@@ -177,11 +177,24 @@ def test_check_number_accepts_integers(value):
     check_number("x", value)
 
 
-@pytest.mark.parametrize("value", [0.5, np.float64(2.0), float("nan")])
+@pytest.mark.parametrize("value", [0.5, np.float64(2.0), 1e308, -5e-324])
 def test_check_number_accepts_reals(value):
     check_number("x", value)
     with pytest.raises(ValueError, match="n must be an integer"):
         check_number("n", value, integer=True)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_check_number_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="x must be finite"):
+        check_number("x", value)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_number("n", value, integer=True)
+
+
+def test_check_number_accepts_integers_too_large_for_a_float():
+    check_number("n", 10**400, integer=True)
+    check_number("x", 10**400)
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j, [1]])
@@ -190,3 +203,26 @@ def test_check_number_rejects_non_numbers(value):
         check_number("x", value)
     with pytest.raises(ValueError, match="n must be an integer"):
         check_number("n", value, integer=True)
+
+
+_SPECIAL_SAMPLES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)
+                  | st.sampled_from(_SPECIAL_SAMPLES)))
+@example(np.array([[1.0, -0.0], [np.nan, 2.0]]))
+@example(np.array([np.inf, 0.0]))
+@example(np.array([0.0, -np.inf]))
+@example(np.array([3.0, -5e-324]))
+@example(np.array([-0.0]))
+def test_check_magnitude_accepts_what_the_two_scan_form_accepts(t):
+    two_scan_ok = not (np.any(t < 0) or not np.all(np.isfinite(t)))
+    try:
+        check_magnitude(t, "t")
+        ok = True
+    except ValueError as exc:
+        assert str(exc) == "t must be nonnegative and finite"
+        ok = False
+    assert ok == two_scan_ok

@@ -121,18 +121,24 @@ def test_config_validation():
             RetrievalConfig(**bad)
 
 
-def test_run_hio_rejects_penalty_kind():
-    _, mask, magnitude = small_problem()
-    cfg = RetrievalConfig(n_iterations=2, penalty=PenaltySpec(kind="tv"))
-    with pytest.raises(ValueError):
-        run_hio(magnitude, mask, cfg)
+def test_run_sparse_hio_is_run_hio():
+    assert run_sparse_hio is run_hio
 
 
-def test_run_sparse_hio_rejects_none_kind():
+@pytest.mark.parametrize("value", [-3, True, 2.5, "2", None])
+def test_run_hio_rejects_bad_initial_iterations(value):
     _, mask, magnitude = small_problem()
-    cfg = RetrievalConfig(n_iterations=2, penalty=PenaltySpec(kind="none"))
-    with pytest.raises(ValueError):
-        run_sparse_hio(magnitude, mask, cfg)
+    with pytest.raises(ValueError, match="initial_iterations"):
+        run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_mask=mask,
+                initial_iterations=value)
+
+
+def test_run_hio_rejects_initial_iterations_without_initial_mask():
+    _, mask, magnitude = small_problem()
+    with pytest.raises(ValueError, match="initial_mask"):
+        run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_iterations=1)
+    # zero truncated iterations need no mask
+    run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_iterations=0)
 
 
 def test_rejects_negative_magnitude():
@@ -199,7 +205,7 @@ def test_sparse_run_with_zero_inner_steps_matches_plain():
     plain = run_hio(magnitude, mask,
                     RetrievalConfig(n_iterations=15, seed=2,
                                     penalty=PenaltySpec(kind="none")))
-    degenerate = run_sparse_hio(
+    degenerate = run_hio(
         magnitude, mask,
         RetrievalConfig(n_iterations=15, seed=2,
                         penalty=PenaltySpec(kind="tv", n_inner_steps=0)),
@@ -213,15 +219,15 @@ def test_sparse_run_with_zero_inner_steps_matches_plain():
 def test_sparse_run_deterministic():
     _, mask, magnitude = small_problem()
     cfg = RetrievalConfig(n_iterations=5, seed=7, penalty=PenaltySpec(kind="tv"))
-    a = run_sparse_hio(magnitude, mask, cfg)
-    b = run_sparse_hio(magnitude, mask, cfg)
+    a = run_hio(magnitude, mask, cfg)
+    b = run_hio(magnitude, mask, cfg)
     assert np.array_equal(a.final_field, b.final_field)
 
 
 def test_huber_engine_runs():
     _, mask, magnitude = small_problem()
     cfg = RetrievalConfig(n_iterations=5, seed=0, penalty=PenaltySpec(kind="huber"))
-    rep = run_sparse_hio(magnitude, mask, cfg)
+    rep = run_hio(magnitude, mask, cfg)
     assert np.all(np.isfinite(rep.final_field))
     assert np.all(np.isfinite(rep.penalty_trace))
 
@@ -250,6 +256,18 @@ def test_truncation_schedule_changes_result():
     assert not truncated.final_field[~mask].any()
 
 
+@pytest.mark.parametrize("kind", ["tv", "huber"])
+def test_truncation_schedule_applies_with_a_penalty(kind):
+    _, mask, magnitude = small_problem()
+    tri = np.zeros_like(mask)
+    tri[12:18, 12:18] = True
+    cfg = RetrievalConfig(n_iterations=6, seed=3, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
+    plain = run_hio(magnitude, mask, cfg)
+    truncated = run_hio(magnitude, mask, cfg, initial_mask=tri, initial_iterations=3)
+    assert not np.array_equal(plain.final_field, truncated.final_field)
+    assert not truncated.final_field[~mask].any()
+
+
 # ------------------------------------------------------------ numerical blow-up
 
 @pytest.mark.parametrize("kind", ["none", "tv"])
@@ -266,10 +284,9 @@ def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
         return spectrum
 
     monkeypatch.setattr(retrieval, "forward_transform", forward_with_nan_at_3)
-    engine = run_hio if kind == "none" else run_sparse_hio
     cfg = RetrievalConfig(n_iterations=50, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
     with pytest.raises(FloatingPointError, match="iteration 3 of 50"):
-        engine(magnitude, mask, cfg)
+        run_hio(magnitude, mask, cfg)
     assert len(calls) == 3
 
 
@@ -289,10 +306,9 @@ def test_non_finite_iterate_is_a_numerical_failure(monkeypatch, target, kind):
         return g
 
     monkeypatch.setattr(retrieval, target, step_with_nan_at_2)
-    engine = run_hio if kind == "none" else run_sparse_hio
     cfg = RetrievalConfig(n_iterations=50, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
     with pytest.raises(FloatingPointError, match="non-finite field at iteration 2 of 50"):
-        engine(magnitude, mask, cfg)
+        run_hio(magnitude, mask, cfg)
     assert len(calls) == 2
 
 
@@ -345,10 +361,7 @@ def test_engines_leave_their_inputs_untouched(kind):
     initial[mask.nonzero()[0][0]] = False
     inputs = (magnitude.tobytes(), mask.tobytes(), initial.tobytes())
     cfg = RetrievalConfig(n_iterations=4, penalty=PenaltySpec(kind=kind, n_inner_steps=3))
-    if kind == "none":
-        run_hio(magnitude, mask, cfg, initial_mask=initial, initial_iterations=2)
-    else:
-        run_sparse_hio(magnitude, mask, cfg)
+    run_hio(magnitude, mask, cfg, initial_mask=initial, initial_iterations=2)
     assert (magnitude.tobytes(), mask.tobytes(), initial.tobytes()) == inputs
 
 
@@ -365,7 +378,7 @@ def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch
             return _real(*args, **kwargs)
         monkeypatch.setattr(retrieval, name, counted)
     cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="tv", n_inner_steps=2))
-    run_sparse_hio(magnitude, mask, cfg)
+    run_hio(magnitude, mask, cfg)
     assert counts == {name: 3 for name in stages}
 
 
@@ -374,7 +387,9 @@ def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch
 @st.composite
 def retrieval_problems(draw):
     """A random complex object on a random rectangular or ragged support,
-    its Fourier magnitude, and a short run's seed and iteration count."""
+    its Fourier magnitude, a short run's seed and iteration count, and
+    either no truncation schedule or a truncated support (a nonempty
+    subset of the support) for some of the first iterations."""
     h, w = draw(st.integers(4, 12)), draw(st.integers(4, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -387,13 +402,21 @@ def retrieval_problems(draw):
         mask[rng.integers(h), rng.integers(w)] = True
     truth = np.where(mask, rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)), 0)
     magnitude = magnitude_of(forward_transform(truth))
-    return magnitude, mask, draw(st.integers(0, 2**31)), draw(st.integers(1, 6))
+    n_iterations = draw(st.integers(1, 6))
+    schedule = {}
+    if draw(st.booleans()):
+        initial = mask & (rng.random((h, w)) < draw(st.floats(0.2, 0.8)))
+        ys, xs = mask.nonzero()
+        pick = rng.integers(len(ys))
+        initial[ys[pick], xs[pick]] = True
+        schedule = {"initial_mask": initial,
+                    "initial_iterations": draw(st.integers(0, n_iterations))}
+    return magnitude, mask, draw(st.integers(0, 2**31)), n_iterations, schedule
 
 
-def run_engine(magnitude, mask, seed, n_iterations, penalty):
-    engine = run_hio if penalty.kind == "none" else run_sparse_hio
+def run_engine(magnitude, mask, seed, n_iterations, schedule, penalty):
     cfg = RetrievalConfig(n_iterations=n_iterations, seed=seed, penalty=penalty)
-    return engine(magnitude, mask, cfg)
+    return run_hio(magnitude, mask, cfg, **schedule)
 
 
 ENGINE_PENALTIES = [PenaltySpec(kind="none"), PenaltySpec(kind="tv", n_inner_steps=3),
@@ -403,18 +426,18 @@ ENGINE_PENALTIES = [PenaltySpec(kind="none"), PenaltySpec(kind="tv", n_inner_ste
 @settings(max_examples=40, deadline=None)
 @given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
 def test_final_field_is_zero_outside_support_property(problem, penalty):
-    magnitude, mask, seed, n_iterations = problem
-    report = run_engine(magnitude, mask, seed, n_iterations, penalty)
+    magnitude, mask, seed, n_iterations, schedule = problem
+    report = run_engine(magnitude, mask, seed, n_iterations, schedule, penalty)
     assert not report.final_field[~mask].any()
 
 
 @settings(max_examples=40, deadline=None)
 @given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
 def test_same_seed_gives_the_same_bits(problem, penalty):
-    magnitude, mask, seed, n_iterations = problem
-    first = run_engine(magnitude, mask, seed, n_iterations, penalty)
-    run_engine(magnitude, mask, seed + 1, n_iterations, penalty)  # state in between
-    second = run_engine(magnitude, mask, seed, n_iterations, penalty)
+    magnitude, mask, seed, n_iterations, schedule = problem
+    first = run_engine(magnitude, mask, seed, n_iterations, schedule, penalty)
+    run_engine(magnitude, mask, seed + 1, n_iterations, schedule, penalty)  # state in between
+    second = run_engine(magnitude, mask, seed, n_iterations, schedule, penalty)
     for name in ("final_field", "penalty_trace", "fourier_residual_trace"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
@@ -422,9 +445,9 @@ def test_same_seed_gives_the_same_bits(problem, penalty):
 @settings(max_examples=40, deadline=None)
 @given(retrieval_problems(), st.sampled_from(["tv", "huber"]))
 def test_zero_inner_steps_is_plain_hio_property(problem, kind):
-    magnitude, mask, seed, n_iterations = problem
-    plain = run_engine(magnitude, mask, seed, n_iterations, PenaltySpec(kind="none"))
-    degenerate = run_engine(magnitude, mask, seed, n_iterations,
+    magnitude, mask, seed, n_iterations, schedule = problem
+    plain = run_engine(magnitude, mask, seed, n_iterations, schedule, PenaltySpec(kind="none"))
+    degenerate = run_engine(magnitude, mask, seed, n_iterations, schedule,
                             PenaltySpec(kind=kind, n_inner_steps=0))
     assert plain.final_field.tobytes() == degenerate.final_field.tobytes()
     assert plain.fourier_residual_trace.tobytes() == degenerate.fourier_residual_trace.tobytes()

@@ -1,4 +1,5 @@
-"""Every function the benchmark's tracer wraps must still exist.
+"""Every function the benchmark's tracer wraps must still exist, and a
+retrieval run must show up under it as one run span.
 
 benchmarks/tracing.py replaces each (module, attribute) in its TARGETS
 with a timing wrapper; a name that a refactor renames or inlines would
@@ -9,7 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import sparsepr as sp
+from sparsepr import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -21,7 +26,8 @@ def _load_tracing():
     return module
 
 
-TARGETS = _load_tracing().TARGETS
+_TRACING = _load_tracing()
+TARGETS = _TRACING.TARGETS
 
 
 def test_targets_are_listed():
@@ -32,3 +38,27 @@ def test_targets_are_listed():
 def test_traced_function_exists(module_name, attribute):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute} is gone"
+
+
+@pytest.mark.parametrize("entry", ["run_hio", "run_sparse_hio", "cli"])
+def test_a_retrieval_records_one_run_span(tmp_path, entry):
+    truth = sp.binary_phase_phantom(sp.PhantomSpec(image_size=32, support_size=12))
+    magnitude = sp.magnitude_of(sp.forward_transform(truth))
+    mask = sp.make_support(32, 12)
+    sp.write_field_file(magnitude, tmp_path / "mag.prf1")
+    sp.write_field_file(mask.astype(np.float64), tmp_path / "mask.prf1")
+    config = sp.RetrievalConfig(n_iterations=2,
+                                penalty=sp.PenaltySpec(kind="tv", n_inner_steps=2))
+    with _TRACING.Tracer() as tracer:
+        # looked up under the tracer, so the call goes through its wrapper
+        if entry == "cli":
+            assert cli.main(["retrieve", "--magnitude", str(tmp_path / "mag.prf1"),
+                             "--mask", str(tmp_path / "mask.prf1"), "--alg", "hio-tv",
+                             "--iters", "2", "--ntv", "2", "--out", str(tmp_path)]) == 0
+        else:
+            getattr(sp, entry)(magnitude, mask, config)
+    (run,) = [i for i, span in enumerate(tracer.spans) if span[0] == _TRACING.RUN]
+    # a span's fields 3 and 4 are its parent and enclosing run: the run
+    # span's parent, if any, is neither a run nor inside one
+    parent = tracer.spans[run][3]
+    assert parent == -1 or tracer.spans[parent][4] == -1
