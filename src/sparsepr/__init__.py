@@ -10,6 +10,7 @@ from .fieldfile import (
     read_field_file,
     write_field_file,
 )
+from .grids import SettingError
 from .fourier import forward_transform, impose_magnitude, inverse_transform, magnitude_of
 from .retrieval import (
     RetrievalConfig,
@@ -43,6 +44,7 @@ from .experiment import (
     flip_conjugate,
     gray_phase_phantom,
     make_support,
+    phantom,
     phase_rmse,
     run_statistics,
     triangular_truncation,

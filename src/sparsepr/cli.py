@@ -3,7 +3,8 @@
 Subcommands: phantom, forward, retrieve, sweep, metrics. All outputs are
 deterministic for a fixed flag set (seeds are explicit); the only
 wall-clock value in any report is the timing field. Exit codes: 0 ok,
-1 usage error, 2 data/file error, 3 numerical failure.
+1 usage error (a SettingError), 2 data/file error (any other ValueError),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import experiment, fourier, retrieval
 from .fieldfile import FieldFileError, read_field_file, write_field_file
-from .grids import as_mask
+from .grids import SettingError, as_mask
 from .sparsity import PenaltySpec, select_delta, huber_value, tv_value
 
 EXIT_USAGE = 1
@@ -29,13 +30,9 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise SettingError(message)
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -85,28 +82,11 @@ def _load_mask(path) -> np.ndarray:
 
 # ---------------------------------------------------------------- phantom
 
-def _phantom_spec_from_args(args) -> experiment.PhantomSpec:
-    try:
-        return experiment.PhantomSpec(
-            image_size=args.size, support_size=args.support, kind=args.kind,
-            phase_step=args.step, phase_range=args.range, pattern_seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _make_phantom(spec: experiment.PhantomSpec) -> np.ndarray:
-    """The phantom of `spec`; a spec no draw can satisfy is a usage error."""
-    generate = (experiment.binary_phase_phantom if spec.kind == "binary"
-                else experiment.gray_phase_phantom)
-    try:
-        return generate(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_phantom(args) -> int:
-    spec = _phantom_spec_from_args(args)
-    truth = _make_phantom(spec)
+    spec = experiment.PhantomSpec(
+        image_size=args.size, support_size=args.support, kind=args.kind,
+        phase_step=args.step, phase_range=args.range, pattern_seed=args.seed)
+    truth = experiment.phantom(spec)
     mask = experiment.make_support(spec.image_size, spec.support_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,7 +129,7 @@ PENALTY_SETTINGS = {
 def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
     """The validated PenaltySpec of `alg` with the given penalty settings."""
     if alg not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {alg!r}")
+        raise SettingError(f"unknown algorithm {alg!r}")
     fields = {PENALTY_SETTINGS[name]: value for name, value in settings.items()}
     try:
         # A `--delta` flag or a JSON string names a number; PenaltySpec
@@ -158,8 +138,8 @@ def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
         if isinstance(rule, str) and rule != "median":
             fields["delta_rule"] = float(rule)
         return PenaltySpec(kind=ALGORITHMS[alg], **fields)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid penalty settings for {alg}: {exc}") from exc
+    except ValueError as exc:
+        raise SettingError(f"invalid penalty settings for {alg}: {exc}") from exc
 
 
 def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
@@ -183,11 +163,8 @@ def cmd_retrieve(args) -> int:
     if penalty.kind == "none":
         for name in settings:
             print(f"warning: {name} ignored for --alg {args.alg} (no penalty)", file=sys.stderr)
-    try:
-        config = retrieval.RetrievalConfig(
-            beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = retrieval.RetrievalConfig(
+        beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
     magnitude = read_field_file(args.magnitude).real
     mask = _load_mask(args.mask)
     report = retrieval.run_hio(magnitude, mask, config)
@@ -232,14 +209,14 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        raise SettingError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise FieldFileError(f"cannot read sweep config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid sweep config JSON: {exc}") from exc
+        raise SettingError(f"invalid sweep config JSON: {exc}") from exc
 
     try:
         seeds = list(cfg["seeds"])
@@ -248,27 +225,27 @@ def cmd_sweep(args) -> int:
         base = dict(cfg.get("retrieval", {}))
         out_dir = Path(args.out or cfg["output_dir"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid sweep config: {exc}") from exc
+        raise SettingError(f"invalid sweep config: {exc}") from exc
     # A repeat would make two cells write the same files. Seeds are used
     # as given, so a fractional or bool seed is refused, not truncated.
     if not (seeds and all(type(s) is int and s >= 0 for s in seeds)
             and len(set(seeds)) == len(seeds)):
-        raise UsageError(f"seeds must be nonempty, distinct integers >= 0, got {seeds}")
+        raise SettingError(f"seeds must be nonempty, distinct integers >= 0, got {seeds}")
     if not (algorithms and all(isinstance(a, str) for a in algorithms)
             and len(set(algorithms)) == len(algorithms)):
-        raise UsageError(f"algorithms must be nonempty and distinct, got {algorithms}")
+        raise SettingError(f"algorithms must be nonempty and distinct, got {algorithms}")
     # Any other key is a usage error, so a typo cannot silently fall back
     # to a default.
     unknown = sorted(set(base) - {"beta", "n_iterations"} - set(PENALTY_SETTINGS))
     if unknown:
-        raise UsageError(f"unknown retrieval keys in sweep config: {', '.join(unknown)}")
+        raise SettingError(f"unknown retrieval keys in sweep config: {', '.join(unknown)}")
     settings = {name: base[name] for name in PENALTY_SETTINGS if name in base}
     penalties = {alg: _penalty_spec(alg, settings) for alg in algorithms}
     # beta and n_iterations are checked per cell, so a bad value shows up
     # as cell failures in aggregate.json.
     loop = {name: base[name] for name in ("beta", "n_iterations") if name in base}
 
-    truth = _make_phantom(phantom)
+    truth = experiment.phantom(phantom)
     out_dir.mkdir(parents=True, exist_ok=True)
     mask = experiment.make_support(phantom.image_size, phantom.support_size)
     magnitude = fourier.magnitude_of(fourier.forward_transform(truth))
@@ -294,7 +271,7 @@ def cmd_sweep(args) -> int:
             try:
                 results[(alg, seed)] = outcome()
             except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                failures[(alg, seed)] = str(exc)
+                failures[(alg, seed)] = f"{type(exc).__name__}: {exc}"
 
     aggregate = {"phantom": asdict(phantom), "algorithms": {}, "failures": [
         {"algorithm": a, "seed": s, "error": msg}
@@ -399,7 +376,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except SettingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FieldFileError, OSError, ValueError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import as_mask, bounding_box, check_number, check_same_shape, l2_norm
+from .grids import SettingError, as_mask, bounding_box, check_number, check_same_shape, l2_norm
 
 TWIN_THRESHOLD = 0.35
 
@@ -28,17 +28,17 @@ class PhantomSpec:
 
     def __post_init__(self):
         if self.kind not in ("binary", "gray"):
-            raise ValueError(f"unknown phantom kind {self.kind!r}")
+            raise SettingError(f"unknown phantom kind {self.kind!r}")
         for name in ("image_size", "support_size", "pattern_seed"):
             check_number(name, getattr(self, name), integer=True)
         for name in ("phase_step", "phase_range"):
             check_number(name, getattr(self, name))
         if self.pattern_seed < 0:
-            raise ValueError("pattern_seed must be >= 0")
+            raise SettingError("pattern_seed must be >= 0")
         if self.image_size % 2 or self.support_size % 2:
-            raise ValueError("image_size and support_size must both be even")
+            raise SettingError("image_size and support_size must both be even")
         if not 0 < self.support_size < self.image_size / 2:
-            raise ValueError(
+            raise SettingError(
                 "support must be smaller than half the image size "
                 f"(got {self.support_size} vs {self.image_size})"
             )
@@ -120,14 +120,14 @@ def _sample_distinct_block(draw, spec: PhantomSpec) -> np.ndarray:
     """Call draw() -> (levels, block) until the two-level pattern is
     roughly balanced and the block is clearly distinguishable from its own
     flip-conjugate, so that the twin correlation metric cannot misfire on
-    a converged reconstruction. Raises ValueError after MAX_PHANTOM_DRAWS
-    rejected draws."""
+    a converged reconstruction. Raises SettingError after MAX_PHANTOM_DRAWS
+    rejected draws: no draw can satisfy such a spec."""
     for _ in range(MAX_PHANTOM_DRAWS):
         levels, block = draw()
         self_twin = abs(np.sum(block * block[::-1, ::-1])) / levels.size
         if 0.30 <= levels.mean() <= 0.65 and self_twin < 0.30:
             return block
-    raise ValueError(
+    raise SettingError(
         f"no {spec.kind} phantom distinguishable from its twin in {MAX_PHANTOM_DRAWS} draws "
         f"(phase_step={spec.phase_step}, phase_range={spec.phase_range}, "
         f"support_size={spec.support_size}, pattern_seed={spec.pattern_seed})"
@@ -181,6 +181,14 @@ def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
         return levels, np.exp(1j * phase)
 
     return _embed(_sample_distinct_block(draw, spec), spec)
+
+
+def phantom(spec: PhantomSpec) -> np.ndarray:
+    """The phantom of `spec`, from the generator of its kind. The generators
+    are looked up as module globals, so a wrapper on either one sees the call."""
+    if spec.kind == "binary":
+        return binary_phase_phantom(spec)
+    return gray_phase_phantom(spec)
 
 
 def flip_conjugate(field) -> np.ndarray:

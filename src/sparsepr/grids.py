@@ -72,15 +72,20 @@ class Workspace:
         return a
 
 
+class SettingError(ValueError):
+    """An invalid setting: a config field, a CLI flag or a sweep key. The CLI
+    exits 1 (usage) for it and 2 (data) for any other ValueError."""
+
+
 def check_number(name: str, value, integer: bool = False) -> None:
-    """Raise ValueError unless `value` is a finite real number (an integer
+    """Raise SettingError unless `value` is a finite real number (an integer
     if `integer`). A bool is neither: a setting is never a flag."""
     if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
         kind = "an integer" if integer else "a real number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise SettingError(f"{name} must be {kind}, got {value!r}")
     # A NaN fails both comparisons; an int of any size passes them.
     if not -np.inf < value < np.inf:
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise SettingError(f"{name} must be finite, got {value!r}")
 
 
 def check_magnitude(t: np.ndarray, what: str) -> None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import Workspace, as_mask, check_magnitude, check_number, check_same_shape, l2_norm
+from .grids import (SettingError, Workspace, as_mask, check_magnitude, check_number,
+                    check_same_shape, l2_norm)
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
 
@@ -30,11 +31,11 @@ class RetrievalConfig:
         check_number("n_iterations", self.n_iterations, integer=True)
         check_number("seed", self.seed, integer=True)
         if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
+            raise SettingError("beta must be in (0, 1]")
         if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+            raise SettingError("n_iterations must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise SettingError("seed must be >= 0")
 
 
 @dataclass
@@ -107,9 +108,9 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     """
     check_number("initial_iterations", initial_iterations, integer=True)
     if initial_iterations < 0:
-        raise ValueError("initial_iterations must be >= 0")
+        raise SettingError("initial_iterations must be >= 0")
     if initial_iterations > 0 and initial_mask is None:
-        raise ValueError("initial_iterations > 0 needs an initial_mask")
+        raise SettingError("initial_iterations > 0 needs an initial_mask")
     mag = np.asarray(magnitude, dtype=np.float64)
     m = as_mask(mask)
     check_same_shape(mag, m)
@@ -170,6 +171,9 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
                 f"non-finite Fourier residual at iteration {n + 1} of {config.n_iterations}"
             )
         penalty_trace[n] = penalty_value(g, window, config.penalty)
+        if not np.isfinite(penalty_trace[n]):
+            raise FloatingPointError(
+                f"non-finite penalty at iteration {n + 1} of {config.n_iterations}")
         spectrum = impose_magnitude(big_g, mag, out=spectrum, modulus=modulus)
 
     return RunReport(

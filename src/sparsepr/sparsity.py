@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Workspace, as_mask, bounding_box, check_number, check_same_shape
+from .grids import SettingError, Workspace, as_mask, bounding_box, check_number, check_same_shape
 
 # Relative floor applied when scaling the TV smoothing epsilon.
 EPSILON_FLOOR = 1e-12
@@ -61,24 +61,26 @@ class PenaltySpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "tv", "huber"):
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
+            raise SettingError(f"unknown penalty kind {self.kind!r}")
         check_number("n_inner_steps", self.n_inner_steps, integer=True)
         check_number("epsilon", self.epsilon)
         check_number("t_init", self.t_init)
         if self.n_inner_steps < 0:
-            raise ValueError("n_inner_steps must be >= 0")
+            raise SettingError("n_inner_steps must be >= 0")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+            raise SettingError("epsilon must be > 0")
         if not self.t_init > 0:
-            raise ValueError("t_init must be > 0")
+            raise SettingError("t_init must be > 0")
         if isinstance(self.delta_rule, str):
             if self.delta_rule != "median":
-                raise ValueError(f"unknown delta rule {self.delta_rule!r}")
+                raise SettingError(f"unknown delta rule {self.delta_rule!r}")
         else:
             check_number("fixed delta", self.delta_rule)
-            if not self.delta_rule > 0:
-                raise ValueError("fixed delta must be > 0")
-            object.__setattr__(self, "delta_rule", float(self.delta_rule))
+            delta = float(self.delta_rule)
+            # Every Huber term divides by delta**2: a zero or subnormal square makes it inf.
+            if not (delta > 0 and delta * delta >= np.finfo(float).tiny):
+                raise SettingError(f"fixed delta must be > 0 with a normal square, got {delta!r}")
+            object.__setattr__(self, "delta_rule", delta)
 
 
 def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import sparsepr as sp
+from sparsepr.cli import ALGORITHMS
 
 FIXTURE = Path(__file__).resolve().parent / "traces_64.npz"
 IMAGE_SIZE = 64
@@ -25,18 +26,14 @@ SUPPORT_SIZE = 30
 N_ITERATIONS = 60
 SEEDS = (0, 1)
 TRACES = ("final_field", "penalty_trace", "fourier_residual_trace")
-# engine name -> (phantom kind, penalty kind)
-ENGINES = {
-    "hio": ("binary", "none"),
-    "hio-tv": ("binary", "tv"),
-    "hio-huber": ("gray", "huber"),
-}
+# engine name (a key of cli.ALGORITHMS, which gives its penalty kind) -> phantom kind
+ENGINES = {"hio": "binary", "hio-tv": "binary", "hio-huber": "gray"}
 
 
 def problem(kind: str):
     spec = sp.PhantomSpec(image_size=IMAGE_SIZE, support_size=SUPPORT_SIZE,
                           kind=kind, pattern_seed=1)
-    truth = sp.binary_phase_phantom(spec) if kind == "binary" else sp.gray_phase_phantom(spec)
+    truth = sp.phantom(spec)
     mask = sp.make_support(IMAGE_SIZE, SUPPORT_SIZE)
     return mask, sp.magnitude_of(sp.forward_transform(truth))
 
@@ -44,11 +41,11 @@ def problem(kind: str):
 def golden_traces() -> dict:
     """Every golden array by fixture key, computed with the current code."""
     out = {}
-    for engine, (phantom, penalty) in ENGINES.items():
+    for engine, phantom in ENGINES.items():
         mask, magnitude = problem(phantom)
         for seed in SEEDS:
             config = sp.RetrievalConfig(beta=0.9, n_iterations=N_ITERATIONS, seed=seed,
-                                        penalty=sp.PenaltySpec(kind=penalty))
+                                        penalty=sp.PenaltySpec(kind=ALGORITHMS[engine]))
             report = sp.run_hio(magnitude, mask, config)
             for name in TRACES:
                 out[f"{engine}_s{seed}_{name}"] = getattr(report, name)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr.cli import ALGORITHMS
 
 IMAGE_SIZE = 128
 SUPPORT_SIZE = 60
@@ -35,7 +36,7 @@ def mask():
 def binary_problem(mask):
     spec = sp.PhantomSpec(image_size=IMAGE_SIZE, support_size=SUPPORT_SIZE,
                           kind="binary", pattern_seed=PATTERN_SEED)
-    truth = sp.binary_phase_phantom(spec)
+    truth = sp.phantom(spec)
     magnitude = sp.magnitude_of(sp.forward_transform(truth))
     return truth, magnitude, sp.tv_value(truth, mask)
 
@@ -44,17 +45,16 @@ def binary_problem(mask):
 def gray_problem():
     spec = sp.PhantomSpec(image_size=IMAGE_SIZE, support_size=SUPPORT_SIZE,
                           kind="gray", pattern_seed=0)
-    truth = sp.gray_phase_phantom(spec)
+    truth = sp.phantom(spec)
     magnitude = sp.magnitude_of(sp.forward_transform(truth))
     return truth, magnitude
 
 
 def run_batch(magnitude, mask, algorithm, seeds):
     reports = []
-    kind = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}[algorithm]
     for seed in seeds:
-        cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS,
-                                 seed=seed, penalty=sp.PenaltySpec(kind=kind))
+        cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS, seed=seed,
+                                 penalty=sp.PenaltySpec(kind=ALGORITHMS[algorithm]))
         reports.append(sp.run_hio(magnitude, mask, cfg))
     return reports
 

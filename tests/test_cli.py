@@ -220,6 +220,30 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
     assert "non-finite field at iteration 1 of 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, bad_file, code, message", [
+    (["--iters", "0"], None, EXIT_USAGE, "n_iterations must be >= 1"),
+    (["--alg", "hio-huber", "--delta", "1e-300"], None, EXIT_USAGE, "normal square"),
+    ([], "mask", EXIT_DATA, "mask has no true pixels"),
+    ([], "magnitude", EXIT_DATA, "magnitude data must be nonnegative and finite"),
+], ids=["bad-setting", "bad-penalty-setting", "all-false-mask", "negative-magnitude"])
+def test_bad_settings_exit_usage_and_bad_data_exits_data(tmp_path, capsys, flags, bad_file,
+                                                         code, message):
+    # both raise a ValueError; only a SettingError is a usage error
+    _, mask, magnitude = make_inputs(tmp_path)
+    if bad_file == "mask":
+        write_field_file(np.zeros(mask.shape), tmp_path / "support.prf1")
+    elif bad_file == "magnitude":
+        magnitude[0, 0] = -1.0
+        write_field_file(magnitude, tmp_path / "magnitude.prf1")
+    code_seen = main(["retrieve",
+                      "--magnitude", str(tmp_path / "magnitude.prf1"),
+                      "--mask", str(tmp_path / "support.prf1"),
+                      "--iters", "2", *flags, "--out", str(tmp_path / "run")])
+    assert code_seen == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_retrieve_bad_flag_values(tmp_path):
     make_inputs(tmp_path)
     code = main(["retrieve",
@@ -538,6 +562,21 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds
     assert _SyncPool.created == pools
     aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
     assert aggregate["algorithms"]["hio"]["n_runs"] == len(seeds)
+
+
+def test_sweep_failure_names_its_exception(tmp_path):
+    # epsilon**2 overflows in every hio-tv cell; str() of an OverflowError
+    # alone is the bare errno tuple
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio", "hio-tv"], iters=2)
+    payload = json.loads(cfg.read_text())
+    payload["retrieval"]["epsilon"] = 1e300
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_DATA
+    aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
+    (failure,) = aggregate["failures"]
+    assert (failure["algorithm"], failure["seed"]) == ("hio-tv", 0)
+    assert failure["error"].startswith("OverflowError: ")
+    assert set(aggregate["algorithms"]) == {"hio"}
 
 
 def test_sweep_with_failed_cells_exits_data_after_aggregate(tmp_path):

@@ -14,12 +14,13 @@ from sparsepr.experiment import (
     flip_conjugate,
     gray_phase_phantom,
     make_support,
+    phantom,
     phase_rmse,
     run_statistics,
     triangular_truncation,
     twin_correlations,
 )
-from sparsepr.grids import is_centrosymmetric
+from sparsepr.grids import SettingError, is_centrosymmetric
 from sparsepr.retrieval import RunReport
 from sparsepr.sparsity import discrete_gradient
 
@@ -62,18 +63,23 @@ def test_triangular_truncation_rejects_non_square():
 
 # ------------------------------------------------------------ phantoms
 
+# Every invalid PhantomSpec field (on a 32/12 spec) and its error. A bool or
+# a fractional number is refused, not run as 1 or truncated.
+BAD_PHANTOM_FIELDS = [
+    ("kind", "photo", "kind"), ("image_size", 31, "even"), ("support_size", 13, "even"),
+    ("support_size", 16, "half the image size"), ("support_size", 0, "half the image size"),
+    ("image_size", 32.0, "image_size"), ("image_size", True, "image_size"),
+    ("support_size", 12.0, "support_size"), ("pattern_seed", 1.5, "pattern_seed"),
+    ("pattern_seed", True, "pattern_seed"), ("pattern_seed", -1, "pattern_seed"),
+    ("phase_step", True, "phase_step"), ("phase_step", "2", "phase_step"),
+    ("phase_step", float("inf"), "phase_step must be finite"),
+    ("phase_range", None, "phase_range"), ("phase_range", float("nan"), "phase_range"),
+]
+
+
 def test_phantom_spec_validation():
-    with pytest.raises(ValueError):
-        PhantomSpec(image_size=128, support_size=60, kind="photo")
-    with pytest.raises(ValueError):
-        PhantomSpec(image_size=127, support_size=60)
-    with pytest.raises(ValueError):
-        PhantomSpec(image_size=128, support_size=70)
-    # A bool or a fractional number is refused, not run as 1 or truncated.
-    for key, value in [("image_size", 32.0), ("image_size", True), ("support_size", 12.0),
-                       ("pattern_seed", 1.5), ("pattern_seed", True), ("pattern_seed", -1),
-                       ("phase_step", True), ("phase_step", "2"), ("phase_range", None)]:
-        with pytest.raises(ValueError, match=key):
+    for key, value, message in BAD_PHANTOM_FIELDS:
+        with pytest.raises(SettingError, match=message):
             PhantomSpec(**{"image_size": 32, "support_size": 12, key: value})
 
 
@@ -167,10 +173,9 @@ def test_gray_phantom_distinguishable_from_own_twin():
 def test_self_twin_phantom_fails_fast(kind, overrides):
     # every draw of these objects is its own twin, so no draw is accepted
     spec = PhantomSpec(image_size=32, support_size=12, kind=kind, **overrides)
-    generate = binary_phase_phantom if kind == "binary" else gray_phase_phantom
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="distinguishable from its twin"):
-        generate(spec)
+    with pytest.raises(SettingError, match="distinguishable from its twin"):
+        phantom(spec)
     assert time.perf_counter() - start < 0.9
 
 
@@ -179,9 +184,8 @@ def test_two_pixel_support_fails_with_the_documented_error(kind):
     # rectangles of the generator's minimum size must fit a 2-pixel block;
     # there every draw is flat, so the draw budget runs out
     spec = PhantomSpec(image_size=8, support_size=2, kind=kind)
-    generate = binary_phase_phantom if kind == "binary" else gray_phase_phantom
-    with pytest.raises(ValueError, match="distinguishable from its twin in 500 draws"):
-        generate(spec)
+    with pytest.raises(SettingError, match="distinguishable from its twin in 500 draws"):
+        phantom(spec)
 
 
 def test_rectangle_art_unchanged_for_supports_of_four_and_more():

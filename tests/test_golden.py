@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sparsepr as sp
+from sparsepr.cli import ALGORITHMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -56,12 +57,11 @@ LATE_DIGESTS = {
 
 @pytest.mark.parametrize("engine", sorted(LATE_DIGESTS))
 def test_late_phase_run_matches_pinned_digests(engine):
-    phantom, penalty = _load_generator().ENGINES[engine]
-    spec = sp.PhantomSpec(image_size=128, support_size=60, kind=phantom, pattern_seed=1)
-    truth = sp.binary_phase_phantom(spec) if phantom == "binary" else sp.gray_phase_phantom(spec)
-    magnitude = sp.magnitude_of(sp.forward_transform(truth))
+    spec = sp.PhantomSpec(image_size=128, support_size=60,
+                          kind=_load_generator().ENGINES[engine], pattern_seed=1)
+    magnitude = sp.magnitude_of(sp.forward_transform(sp.phantom(spec)))
     config = sp.RetrievalConfig(beta=0.9, n_iterations=LATE_ITERATIONS, seed=0,
-                                penalty=sp.PenaltySpec(kind=penalty))
+                                penalty=sp.PenaltySpec(kind=ALGORITHMS[engine]))
     report = sp.run_sparse_hio(magnitude, sp.make_support(128, 60), config)
     for name, expected in LATE_DIGESTS[engine].items():
         array = np.ascontiguousarray(getattr(report, name))

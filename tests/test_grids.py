@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sparsepr
-from sparsepr.grids import (Workspace, as_complex_field, as_mask, bounding_box, check_magnitude,
-                            check_number, is_centrosymmetric, l2_norm)
+from sparsepr.grids import (SettingError, Workspace, as_complex_field, as_mask, bounding_box,
+                            check_magnitude, check_number, is_centrosymmetric, l2_norm)
 
 
 def test_rejects_nan():
@@ -180,15 +180,15 @@ def test_check_number_accepts_integers(value):
 @pytest.mark.parametrize("value", [0.5, np.float64(2.0), 1e308, -5e-324])
 def test_check_number_accepts_reals(value):
     check_number("x", value)
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(SettingError, match="n must be an integer"):
         check_number("n", value, integer=True)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
 def test_check_number_rejects_non_finite(value):
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(SettingError, match="x must be finite"):
         check_number("x", value)
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(SettingError, match="n must be an integer"):
         check_number("n", value, integer=True)
 
 
@@ -199,9 +199,9 @@ def test_check_number_accepts_integers_too_large_for_a_float():
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j, [1]])
 def test_check_number_rejects_non_numbers(value):
-    with pytest.raises(ValueError, match="x must be a real number"):
+    with pytest.raises(SettingError, match="x must be a real number"):
         check_number("x", value)
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(SettingError, match="n must be an integer"):
         check_number("n", value, integer=True)
 
 

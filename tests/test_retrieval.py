@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sparsepr import retrieval
 from sparsepr.experiment import binary_phase_phantom, make_support, PhantomSpec
 from sparsepr.fourier import forward_transform, magnitude_of
+from sparsepr.grids import SettingError
 from sparsepr.retrieval import (
     RetrievalConfig,
     hio_update,
@@ -107,18 +108,19 @@ def test_zero_outside_support():
 
 # ------------------------------------------------------------ config checks
 
+# Every invalid RetrievalConfig field; the error names the field. A bool or
+# a fractional number is refused, not run as 1 or truncated.
+BAD_CONFIG_FIELDS = [
+    ("beta", 0.0), ("beta", -0.5), ("beta", 1.5), ("beta", True), ("beta", "0.9"),
+    ("beta", float("nan")), ("n_iterations", 0), ("n_iterations", True),
+    ("n_iterations", 2.5), ("n_iterations", 10.0), ("seed", -1), ("seed", True), ("seed", 1.5),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RetrievalConfig(beta=0.0)
-    with pytest.raises(ValueError):
-        RetrievalConfig(n_iterations=0)
-    with pytest.raises(ValueError):
-        RetrievalConfig(seed=-1)
-    # A bool or a fractional number is refused, not run as 1 or truncated.
-    for bad in ({"beta": True}, {"seed": True}, {"n_iterations": True},
-                {"n_iterations": 2.5}, {"seed": 1.5}, {"beta": "0.9"}):
-        with pytest.raises(ValueError):
-            RetrievalConfig(**bad)
+    for key, value in BAD_CONFIG_FIELDS:
+        with pytest.raises(SettingError, match=key):
+            RetrievalConfig(**{key: value})
 
 
 def test_run_sparse_hio_is_run_hio():
@@ -128,14 +130,14 @@ def test_run_sparse_hio_is_run_hio():
 @pytest.mark.parametrize("value", [-3, True, 2.5, "2", None])
 def test_run_hio_rejects_bad_initial_iterations(value):
     _, mask, magnitude = small_problem()
-    with pytest.raises(ValueError, match="initial_iterations"):
+    with pytest.raises(SettingError, match="initial_iterations"):
         run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_mask=mask,
                 initial_iterations=value)
 
 
 def test_run_hio_rejects_initial_iterations_without_initial_mask():
     _, mask, magnitude = small_problem()
-    with pytest.raises(ValueError, match="initial_mask"):
+    with pytest.raises(SettingError, match="initial_mask"):
         run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_iterations=1)
     # zero truncated iterations need no mask
     run_hio(magnitude, mask, RetrievalConfig(n_iterations=2), initial_iterations=0)
@@ -288,6 +290,25 @@ def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
     with pytest.raises(FloatingPointError, match="iteration 3 of 50"):
         run_hio(magnitude, mask, cfg)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", ["none", "tv"])
+def test_non_finite_penalty_stops_at_the_iteration_it_happens(monkeypatch, kind):
+    # a finite field can still have an infinite penalty (a Huber delta whose
+    # square is tiny); the trace would then hold inf, which is not JSON
+    _, mask, magnitude = small_problem()
+    real_value = retrieval.tv_value
+    calls = []
+
+    def value_with_inf_at_4(field, region):
+        calls.append(1)
+        return np.inf if len(calls) == 4 else real_value(field, region)
+
+    monkeypatch.setattr(retrieval, "tv_value", value_with_inf_at_4)
+    cfg = RetrievalConfig(n_iterations=50, penalty=PenaltySpec(kind=kind, n_inner_steps=2))
+    with pytest.raises(FloatingPointError, match="non-finite penalty at iteration 4 of 50"):
+        run_hio(magnitude, mask, cfg)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("target, kind", [("hio_update", "none"), ("sparsity_descent", "tv")])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sparsepr import sparsity
-from sparsepr.grids import Workspace
+from sparsepr.grids import SettingError, Workspace
 from sparsepr.sparsity import (
     EPSILON_FLOOR,
     Gradient,
@@ -471,26 +471,30 @@ def test_descent_step_never_raises_the_penalty(case):
     assert penalty(sparsity_descent(field, mask, one_step)) <= penalty(field)
 
 
+# Every invalid PenaltySpec field and its error. A fixed delta's square must
+# be a normal float: (1.49e-154)**2 is subnormal, (1.5e-154)**2 is not.
+BAD_PENALTY_FIELDS = [
+    ("kind", "wavelet", "unknown penalty kind"), ("n_inner_steps", 2.5, "n_inner_steps"),
+    ("n_inner_steps", True, "n_inner_steps"), ("n_inner_steps", -1, "n_inner_steps"),
+    ("epsilon", 0.0, "epsilon must be > 0"), ("epsilon", True, "epsilon must be a real number"),
+    ("epsilon", float("nan"), "epsilon must be finite"), ("t_init", "0.1", "t_init must be a real"),
+    ("t_init", 0, "t_init must be > 0"), ("t_init", float("inf"), "t_init must be finite"),
+    ("delta_rule", "mean", "unknown delta rule"), ("delta_rule", -1.0, "fixed delta"),
+    ("delta_rule", 0.0, "fixed delta"), ("delta_rule", 1e-300, "normal square"),
+    ("delta_rule", 1e-160, "normal square"), ("delta_rule", 1.49e-154, "normal square"),
+]
+
+
 def test_penalty_spec_validation():
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="wavelet")
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="huber", delta_rule=-1.0)
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="tv", epsilon=0.0)
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="tv", n_inner_steps=2.5)
-    with pytest.raises(ValueError):
-        PenaltySpec(kind="tv", n_inner_steps=True)
-    with pytest.raises(ValueError, match="epsilon must be a real number"):
-        PenaltySpec(kind="tv", epsilon=True)
-    with pytest.raises(ValueError, match="t_init must be a real number"):
-        PenaltySpec(kind="tv", t_init="0.1")
+    for key, value, message in BAD_PENALTY_FIELDS:
+        with pytest.raises(SettingError, match=message):
+            PenaltySpec(**{"kind": "huber", key: value})
+    assert PenaltySpec(kind="huber", delta_rule=1.5e-154).delta_rule == 1.5e-154
 
 
 @pytest.mark.parametrize("delta", [True, False, [0.5], None])
 def test_fixed_delta_must_be_a_real_number(delta):
-    with pytest.raises(ValueError, match="real number"):
+    with pytest.raises(SettingError, match="real number"):
         PenaltySpec(kind="huber", delta_rule=delta)
 
 

@@ -62,3 +62,18 @@ def test_a_retrieval_records_one_run_span(tmp_path, entry):
     # span's parent, if any, is neither a run nor inside one
     parent = tracer.spans[run][3]
     assert parent == -1 or tracer.spans[parent][4] == -1
+
+
+@pytest.mark.parametrize("kind", ["binary", "gray"])
+@pytest.mark.parametrize("entry", ["phantom", "cli"])
+def test_a_phantom_records_one_phantom_span(tmp_path, entry, kind):
+    spec = sp.PhantomSpec(image_size=32, support_size=12, kind=kind)
+    with _TRACING.Tracer() as tracer:
+        # the dispatch must call the generator it picks through its module
+        # global, or the wrapper never sees the call
+        if entry == "cli":
+            assert cli.main(["phantom", "--kind", kind, "--size", "32", "--support", "12",
+                             "--out", str(tmp_path)]) == 0
+        else:
+            sp.phantom(spec)
+    assert [span[0] for span in tracer.spans].count("experiment.phantom") == 1
