@@ -165,7 +165,7 @@ def cmd_retrieve(args) -> int:
             print(f"warning: {name} ignored for --alg {args.alg} (no penalty)", file=sys.stderr)
     config = retrieval.RetrievalConfig(
         beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
-    magnitude = read_field_file(args.magnitude).real
+    magnitude = read_field_file(args.magnitude)
     mask = _load_mask(args.mask)
     report = retrieval.run_hio(magnitude, mask, config)
     out = Path(args.out)

@@ -10,8 +10,8 @@ Layout (little-endian, no padding beyond the 3 reserved bytes):
     payload         row-major samples
 
 The format is bit-exact: write followed by read reproduces the grid
-bit-for-bit. The reader is strict: a grid must have at least one sample,
-and the file must end where the payload does.
+bit-for-bit. The reader is strict: the reserved bytes must be zero, a grid
+must have at least one sample, and the file must end where the payload does.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PRF1"
-_HEADER = struct.Struct("<4sIIB3x")
+_HEADER = struct.Struct("<4sIIB3s")
+_RESERVED = bytes(3)
 
 DTYPE_REAL = 0
 DTYPE_COMPLEX = 1
@@ -62,7 +63,7 @@ def write_field_file(grid, path) -> None:
     code = DTYPE_COMPLEX if np.iscomplexobj(a) else DTYPE_REAL
     payload = np.ascontiguousarray(a, dtype=_DTYPES[code])
     height, width = a.shape
-    header = _HEADER.pack(MAGIC, width, height, code)
+    header = _HEADER.pack(MAGIC, width, height, code, _RESERVED)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -80,9 +81,11 @@ def read_field_file(path) -> np.ndarray:
         raise FieldFileError(f"cannot read field file {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise TruncatedFileError(f"{path}: file shorter than the 16-byte header")
-    magic, width, height, code = _HEADER.unpack_from(raw)
+    magic, width, height, code, reserved = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if reserved != _RESERVED:
+        raise FieldFileError(f"{path}: reserved header bytes 13-15 are {reserved!r}, not zero")
     dtype = _DTYPES.get(code)
     if dtype is None:
         raise UnknownDtypeError(f"{path}: unknown dtype code {code}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import as_complex_field, check_magnitude, check_same_shape
+from .grids import as_complex_field, as_magnitude, check_same_shape
 
 # Below this modulus s/|s| loses precision (subnormal |s|) or is 0/0.
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
@@ -54,9 +54,8 @@ def impose_magnitude(spectrum, target, *, out=None, modulus=None) -> np.ndarray:
     it is read, never written.
     """
     s = as_complex_field(spectrum)
-    t = np.asarray(target, dtype=np.float64)
-    check_same_shape(s, t)
-    check_magnitude(t, "target magnitude")
+    check_same_shape(s, target)
+    t = as_magnitude(target, "target magnitude")
     mod = np.abs(s) if modulus is None else modulus
     regular = mod.min() >= _SMALLEST_NORMAL and mod.max() < np.inf
     if not regular:

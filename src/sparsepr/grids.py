@@ -88,11 +88,16 @@ def check_number(name: str, value, integer: bool = False) -> None:
         raise SettingError(f"{name} must be finite, got {value!r}")
 
 
-def check_magnitude(t: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every sample of the nonempty real array `t`
-    is nonnegative and finite. A NaN minimum fails the first comparison."""
+def as_magnitude(a, what: str) -> np.ndarray:
+    """Validate and return a nonempty float64 magnitude array, every sample
+    nonnegative and finite. Complex input is refused before the cast, which
+    would drop its imaginary part. A NaN minimum fails the first comparison."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{what} must be real")
+    t = np.asarray(a, dtype=np.float64)
     if not (t.min() >= 0 and t.max() < np.inf):
         raise ValueError(f"{what} must be nonnegative and finite")
+    return t
 
 
 def check_same_shape(*arrays) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import (SettingError, Workspace, as_mask, check_magnitude, check_number,
+from .grids import (SettingError, Workspace, as_magnitude, as_mask, check_number,
                     check_same_shape, l2_norm)
 from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
                        support_window, tv_value)
@@ -111,10 +111,9 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
         raise SettingError("initial_iterations must be >= 0")
     if initial_iterations > 0 and initial_mask is None:
         raise SettingError("initial_iterations > 0 needs an initial_mask")
-    mag = np.asarray(magnitude, dtype=np.float64)
     m = as_mask(mask)
-    check_same_shape(mag, m)
-    check_magnitude(mag, "magnitude data")
+    check_same_shape(magnitude, m)
+    mag = as_magnitude(magnitude, "magnitude data")
     if not mag.any():
         raise ValueError("magnitude data is all zero")
     # Masks are checked and cut to their windows once per run; the loop
@@ -151,8 +150,13 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
         g_hat = inverse_transform(spectrum, out=transform)
         g, g_next = hio_update(g, g_hat, step_mask, config.beta, out=g_next), g
         if do_descent:
-            g, g_next = sparsity_descent(g, step_window, config.penalty, out=g_next,
-                                          work=descent_work), g
+            try:
+                g, g_next = sparsity_descent(g, step_window, config.penalty, out=g_next,
+                                              work=descent_work), g
+            except FloatingPointError as exc:  # an overflow in a descent step
+                raise FloatingPointError(
+                    f"{exc} in the descent at iteration {n + 1} of {config.n_iterations}"
+                ) from exc
         try:
             big_g = forward_transform(g, out=transform)
         except ValueError as exc:

@@ -337,6 +337,8 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     The window-sized arrays the steps write (two iterates, one Gradient,
     the per-pixel penalty and the direction) come from `work`, so a caller
     that passes the same Workspace to every call allocates them once.
+
+    An overflow in a step raises FloatingPointError (numpy's own message).
     """
     f = np.asarray(field)
     if out is None:
@@ -383,26 +385,29 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
             last = huber_value(g, delta, local, grad, out=per_pixel)
         return last
 
-    p0 = smoothed_tv_value(sub, eps, local, grad, out=per_pixel) if tv else None
-    for _ in range(spec.n_inner_steps):
-        if tv:
-            tv_gradient(sub, eps, grad, scale=per_pixel, out=direction)
-        else:
-            if spec.delta_rule == "median":
-                delta = select_delta(sub, local, grad)
-            huber_gradient(sub, delta, grad, out=direction)
-            p0 = huber_value(sub, delta, local, grad, out=per_pixel)
-        np.negative(direction, out=direction)
-        if outside is not None:
-            np.copyto(direction, 0, where=outside)
-        if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0,
-                                                    out=trial) == 0.0:
-            break
-        # t > 0: the last penalty call was on the accepted trial, now in
-        # `trial`, and left its Gradient in `grad` and, for TV, its smoothed
-        # modulus in `per_pixel`.
-        sub, p0 = trial, last
-        trial, spare = spare, trial
+    # Left to numpy's warning, an overflow such as an infinite ||d||^2 would
+    # turn every step into t = 0 and the run would go on as if it converged.
+    with np.errstate(over="raise"):
+        p0 = smoothed_tv_value(sub, eps, local, grad, out=per_pixel) if tv else None
+        for _ in range(spec.n_inner_steps):
+            if tv:
+                tv_gradient(sub, eps, grad, scale=per_pixel, out=direction)
+            else:
+                if spec.delta_rule == "median":
+                    delta = select_delta(sub, local, grad)
+                huber_gradient(sub, delta, grad, out=direction)
+                p0 = huber_value(sub, delta, local, grad, out=per_pixel)
+            np.negative(direction, out=direction)
+            if outside is not None:
+                np.copyto(direction, 0, where=outside)
+            if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0,
+                                                        out=trial) == 0.0:
+                break
+            # t > 0: the last penalty call was on the accepted trial, now in
+            # `trial`, and left its Gradient in `grad` and, for TV, its smoothed
+            # modulus in `per_pixel`.
+            sub, p0 = trial, last
+            trial, spare = spare, trial
 
     np.copyto(out[window.rows, window.cols], sub, where=inside)
     return out

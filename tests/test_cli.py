@@ -225,7 +225,9 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
     (["--alg", "hio-huber", "--delta", "1e-300"], None, EXIT_USAGE, "normal square"),
     ([], "mask", EXIT_DATA, "mask has no true pixels"),
     ([], "magnitude", EXIT_DATA, "magnitude data must be nonnegative and finite"),
-], ids=["bad-setting", "bad-penalty-setting", "all-false-mask", "negative-magnitude"])
+    ([], "complex-magnitude", EXIT_DATA, "magnitude data must be real"),
+], ids=["bad-setting", "bad-penalty-setting", "all-false-mask", "negative-magnitude",
+        "complex-magnitude"])
 def test_bad_settings_exit_usage_and_bad_data_exits_data(tmp_path, capsys, flags, bad_file,
                                                          code, message):
     # both raise a ValueError; only a SettingError is a usage error
@@ -235,6 +237,8 @@ def test_bad_settings_exit_usage_and_bad_data_exits_data(tmp_path, capsys, flags
     elif bad_file == "magnitude":
         magnitude[0, 0] = -1.0
         write_field_file(magnitude, tmp_path / "magnitude.prf1")
+    elif bad_file == "complex-magnitude":
+        write_field_file(magnitude + 1j, tmp_path / "magnitude.prf1")
     code_seen = main(["retrieve",
                       "--magnitude", str(tmp_path / "magnitude.prf1"),
                       "--mask", str(tmp_path / "support.prf1"),
@@ -280,18 +284,26 @@ def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag,
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("alg, flag", [("hio-tv", "--eps"), ("hio-huber", "--delta")])
-def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys, alg, flag):
-    # epsilon**2 and delta**2 of a Python float raise OverflowError
+@pytest.mark.parametrize("alg, flag, value, message", [
+    ("hio-tv", "--eps", "1e300", ""),
+    ("hio-huber", "--delta", "1e300", ""),
+    ("hio-huber", "--delta", "1.5e-154", "in the descent at iteration 1 of 3"),
+], ids=["hio-tv---eps", "hio-huber---delta", "hio-huber-descent-overflow"])
+def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys, alg, flag,
+                                                              value, message):
+    # epsilon**2 and delta**2 of a Python float raise OverflowError; the Huber
+    # gradient of a delta just above the smallest accepted one overflows in
+    # the descent's line search
     make_inputs(tmp_path)
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
                  "--mask", str(tmp_path / "support.prf1"),
-                 "--alg", alg, "--iters", "2", flag, "1e300",
+                 "--alg", alg, "--iters", "3", flag, value,
                  "--out", str(tmp_path / "big")])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "big").exists()
 
@@ -353,6 +365,20 @@ def test_metrics_refuses_non_finite_mask(tmp_path, capsys):
     assert code == EXIT_DATA
     captured = capsys.readouterr()
     assert f"mask file {mask} has non-finite samples" in captured.err
+    assert captured.out == ""
+
+
+def test_metrics_refuses_non_zero_reserved_bytes(tmp_path, capsys):
+    make_inputs(tmp_path)
+    path = tmp_path / "reserved.prf1"
+    raw = bytearray((tmp_path / "truth.prf1").read_bytes())
+    raw[13:16] = b"xyz"
+    path.write_bytes(bytes(raw))
+    code = main(["metrics", "--recon", str(path), "--truth", str(tmp_path / "truth.prf1"),
+                 "--mask", str(tmp_path / "support.prf1")])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "reserved header bytes 13-15 are b'xyz'" in captured.err
     assert captured.out == ""
 
 

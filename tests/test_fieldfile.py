@@ -105,6 +105,17 @@ def test_zero_side_rejected(tmp_path, offset):
         read_field_file(path)
 
 
+@pytest.mark.parametrize("offset", [13, 14, 15])
+def test_non_zero_reserved_byte_rejected(tmp_path, offset):
+    path = tmp_path / "reserved.prf1"
+    write_field_file(np.zeros((3, 3)), path)
+    raw = bytearray(path.read_bytes())
+    raw[offset] = ord("x")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FieldFileError, match="reserved"):
+        read_field_file(path)
+
+
 def test_writer_rejects_empty_grid(tmp_path):
     with pytest.raises(ValueError):
         write_field_file(np.zeros((3, 0)), tmp_path / "e.prf1")

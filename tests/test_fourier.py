@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,14 @@ def test_impose_magnitude_hits_target():
 def test_impose_magnitude_shape_mismatch():
     with pytest.raises(ValueError):
         impose_magnitude(random_field((4, 4), 0), np.ones((4, 5)))
+
+
+def test_impose_magnitude_refuses_complex_target():
+    # the float64 cast used to drop the imaginary part: 1j*t gave all zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target magnitude must be real"):
+            impose_magnitude(random_field((4, 4), 0), 1j * np.ones((4, 4)))
 
 
 def test_impose_magnitude_subnormal_sample_stays_finite():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sparsepr
-from sparsepr.grids import (SettingError, Workspace, as_complex_field, as_mask, bounding_box,
-                            check_magnitude, check_number, is_centrosymmetric, l2_norm)
+from sparsepr.grids import (SettingError, Workspace, as_complex_field, as_magnitude, as_mask,
+                            bounding_box, check_number, is_centrosymmetric, l2_norm)
 
 
 def test_rejects_nan():
@@ -217,12 +217,14 @@ _SPECIAL_SAMPLES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.nan, np.inf, -np.i
 @example(np.array([0.0, -np.inf]))
 @example(np.array([3.0, -5e-324]))
 @example(np.array([-0.0]))
-def test_check_magnitude_accepts_what_the_two_scan_form_accepts(t):
+def test_as_magnitude_accepts_what_the_two_scan_form_accepts(t):
     two_scan_ok = not (np.any(t < 0) or not np.all(np.isfinite(t)))
     try:
-        check_magnitude(t, "t")
+        checked = as_magnitude(t, "t")
         ok = True
     except ValueError as exc:
         assert str(exc) == "t must be nonnegative and finite"
         ok = False
     assert ok == two_scan_ok
+    if ok:
+        assert checked.dtype == np.float64 and checked.tobytes() == t.tobytes()

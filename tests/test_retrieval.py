@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepr import retrieval
-from sparsepr.experiment import binary_phase_phantom, make_support, PhantomSpec
+from sparsepr.experiment import binary_phase_phantom, gray_phase_phantom, make_support, PhantomSpec
 from sparsepr.fourier import forward_transform, magnitude_of
 from sparsepr.grids import SettingError
 from sparsepr.retrieval import (
@@ -161,6 +162,17 @@ def test_rejects_non_finite_magnitude():
                                                  penalty=PenaltySpec(kind="none")))
 
 
+def test_rejects_complex_magnitude():
+    _, mask, magnitude = small_problem()
+    magnitude = magnitude.astype(np.complex128)
+    magnitude[1, 1] += 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a cast
+        with pytest.raises(ValueError, match="magnitude data must be real"):
+            run_hio(magnitude, mask, RetrievalConfig(n_iterations=1,
+                                                     penalty=PenaltySpec(kind="none")))
+
+
 # ------------------------------------------------------------ run behavior
 
 def test_run_hio_deterministic_and_shapes():
@@ -309,6 +321,23 @@ def test_non_finite_penalty_stops_at_the_iteration_it_happens(monkeypatch, kind)
     with pytest.raises(FloatingPointError, match="non-finite penalty at iteration 4 of 50"):
         run_hio(magnitude, mask, cfg)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("delta, overflows", [(1.5e-154, True), (1e-150, False)])
+def test_overflow_in_the_descent_stops_the_run(delta, overflows):
+    # the Huber gradient scales as 1/delta**2, so just above the smallest
+    # accepted delta the line search's ||d||**2 overflows; left to numpy's
+    # warning, every step returned t = 0 and the run exited normally
+    spec = PhantomSpec(image_size=32, support_size=12, kind="gray", pattern_seed=0)
+    magnitude = magnitude_of(forward_transform(gray_phase_phantom(spec)))
+    cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="huber", delta_rule=delta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if overflows:
+            with pytest.raises(FloatingPointError, match="in the descent at iteration 1 of 3"):
+                run_hio(magnitude, make_support(32, 12), cfg)
+        else:
+            assert np.isfinite(run_hio(magnitude, make_support(32, 12), cfg).penalty_trace).all()
 
 
 @pytest.mark.parametrize("target, kind", [("hio_update", "none"), ("sparsity_descent", "tv")])
