@@ -85,9 +85,18 @@ class PenaltySpec:
 
 def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Forward-difference gradient (gx, gy); zero at the far edges."""
-    f = np.asarray(field)
+    f = np.ascontiguousarray(field)
+    if out is not None and not (out[0].flags.c_contiguous and out[1].flags.c_contiguous):
+        for part, value in zip(out, discrete_gradient(f)):
+            np.copyto(part, value)
+        return out
     gx, gy = (np.empty_like(f), np.empty_like(f)) if out is None else out
-    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    # x-differences on the flattened rows, from f shifted into gx: its last
+    # column holds 0, so the pair that wraps to the next row is 0 - f.
+    flat = gx.reshape(-1)
+    flat[:-1] = f.reshape(-1)[1:]
+    gx[:, -1:] = 0
+    flat -= f.reshape(-1)
     gx[:, -1:] = 0
     np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
     gy[-1:, :] = 0
@@ -96,21 +105,25 @@ def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
 
 def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
     """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
-    gx = np.asarray(gx)
+    gx = np.ascontiguousarray(gx)
     gy = np.asarray(gy)
     check_same_shape(gx, gy)
+    if out is not None and not out.flags.c_contiguous:
+        np.copyto(out, discrete_divergence(gx, gy))
+        return out
     if out is None:
         out = np.empty_like(gx)
-    out[...] = 0
     # Last column of gx / last row of gy never contribute to <grad f, p>,
     # so the adjoint ignores them; along an axis of length 1 nothing does.
     if out.shape[1] > 1:
-        out[:, 0] += gx[:, 0]
-        # (0 + a) - b rounds exactly as 0 + (a - b), signed zeros included,
-        # and needs no temporary.
-        out[:, 1:-1] += gx[:, 1:-1]
-        out[:, 1:-1] -= gx[:, :-2]
-        out[:, -1] -= gx[:, -2]
+        # (0 + a) - b rounds as 0 + (a - b), signed zeros included. Columns
+        # 0 and -1 start at 0: the wrapped flat pair is 0 - gx, cannot overflow.
+        np.add(gx, 0, out=out)
+        out[:, ::out.shape[1] - 1] = 0
+        out.reshape(-1)[1:] -= gx.reshape(-1)[:-1]
+        np.add(gx[:, 0], 0, out=out[:, 0])
+    else:
+        out[...] = 0
     if out.shape[0] > 1:
         out[0, :] += gy[0, :]
         out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
@@ -220,6 +233,23 @@ def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None,
     return _region_sum(np.sqrt(smoothed, out=smoothed), submask)
 
 
+def _divided(grad: Gradient, scale) -> list[np.ndarray]:
+    """[gx / scale, gy / scale] for a positive real `scale`.
+
+    numpy's complex quotient by c + 0j is (a + b*0) * (1/c) part by part, so
+    one reciprocal and two real products give its bits up to the sign of a
+    zero, on which discrete_divergence's output does not depend.
+    """
+    if not np.iscomplexobj(grad.gx):
+        return [grad.gx / scale, grad.gy / scale]
+    inv = np.reciprocal(scale)
+    parts = [np.empty(g.shape, np.result_type(g, inv)) for g in grad[:2]]
+    for g, part in zip(grad, parts):
+        np.multiply(g.real, inv, out=part.real)
+        np.multiply(g.imag, inv, out=part.imag)
+    return parts
+
+
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
                 out=None) -> np.ndarray:
     """Functional gradient of the smoothed TV: -div(grad f / sqrt(|grad f|^2 + eps^2)).
@@ -233,7 +263,7 @@ def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
         grad = gradient_of(field)
     if scale is None:
         scale = np.sqrt(grad.mag_sq + epsilon**2)
-    out = discrete_divergence(grad.gx / scale, grad.gy / scale, out=out)
+    out = discrete_divergence(*_divided(grad, scale), out=out)
     return np.negative(out, out=out)
 
 
@@ -265,7 +295,7 @@ def huber_gradient(field, delta, grad: Gradient | None = None, *, out=None) -> n
     scale = grad.mag_sq / delta**2
     scale += 1.0
     np.sqrt(scale, out=scale)
-    out = discrete_divergence(grad.gx / scale, grad.gy / scale, out=out)
+    out = discrete_divergence(*_divided(grad, scale), out=out)
     np.negative(out, out=out)
     out /= delta**2
     return out

@@ -540,22 +540,131 @@ def signed_zero_fields(draw):
     return field
 
 
+def _layouts(a):
+    """`a` itself, then the same samples as strided views: a window of a
+    larger array whose margins hold +-1e308 in alternating rows (any read
+    across the window's edge would overflow), every second column of a wider
+    array, rows reversed twice, and a Fortran-ordered copy."""
+    h, w = a.shape
+    framed = np.full((h + 2, w + 3), 1e308 - 1e308j)
+    framed[1::2] *= -1
+    framed[1:-1, 2:-1] = a
+    spread = np.zeros((h, 2 * w), a.dtype)
+    spread[:, ::2] = a
+    return [a, framed[1:-1, 2:-1], spread[:, ::2], a[::-1].copy()[::-1], np.asfortranarray(a)]
+
+
+def _strided_outs(shape, dtype=np.complex128):
+    """NaN-filled arrays that are not C-contiguous: every second column of a
+    wider array (whose rows still flatten to one stride) and a window of a
+    larger one (whose rows do not)."""
+    h, w = shape
+    return (np.full((h, 2 * w), np.nan, dtype)[:, ::2],
+            np.full((h + 1, w + 2), np.nan, dtype)[1:, 1:-1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(signed_zero_fields(), signed_zero_fields())
 def test_stencils_match_their_first_form_bit_for_bit(f, p):
-    before = f.tobytes()
     old = _old_discrete_gradient(f)
-    pair = (np.empty_like(f), np.empty_like(f))
-    for gx, gy in (discrete_gradient(f), discrete_gradient(f, out=pair)):
-        assert gx.tobytes() == old[0].tobytes() and gy.tobytes() == old[1].tobytes()
-    assert f.tobytes() == before
+    for field in _layouts(f):
+        for out in (None, (np.empty_like(f), np.empty_like(f)), _strided_outs(f.shape),
+                    _strided_outs(f.shape)[::-1]):
+            gx, gy = discrete_gradient(field, out=out)
+            assert out is None or (gx is out[0] and gy is out[1])
+            assert gx.tobytes() == old[0].tobytes() and gy.tobytes() == old[1].tobytes()
+        assert field.tobytes() == f.tobytes()
     for gx, gy in (old, (p, p[::-1])):
-        inputs = (gx.tobytes(), gy.tobytes())
-        out = np.empty_like(gx)
-        assert discrete_divergence(gx, gy, out=out) is out
-        assert out.tobytes() == _old_discrete_divergence(gx, gy).tobytes()
-        assert discrete_divergence(gx, gy).tobytes() == out.tobytes()
-        assert (gx.tobytes(), gy.tobytes()) == inputs
+        expected = _old_discrete_divergence(gx, gy).tobytes()
+        for x, y in zip(_layouts(gx), _layouts(gy)):
+            for out in (None, np.empty_like(gx), *_strided_outs(gx.shape)):
+                got = discrete_divergence(x, y, out=out)
+                assert out is None or got is out
+                assert got.tobytes() == expected
+            assert (x.tobytes(), y.tobytes()) == (gx.tobytes(), gy.tobytes())
+
+
+def _wrapped_overflow_field():
+    """Every row but the last ends at 1e308 and the next starts at -1e308
+    (the imaginary parts with opposite signs): the differences that wrap from
+    one row to the next overflow, every in-row and in-column one is finite."""
+    rng = np.random.default_rng(64)
+    f = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    f[::2, 1], f[1::2, 2] = -0.0, 0.0 - 0.0j
+    f[:, -1] = 1e308 - 1e308j
+    f[1:, 0] = -1e308 + 1e308j
+    return f
+
+
+@pytest.mark.parametrize("state", [{}, {"over": "raise", "invalid": "raise"}])
+def test_stencils_do_not_overflow_across_rows(state):
+    f = _wrapped_overflow_field()
+    zeros = np.zeros_like(f)
+    with np.errstate(**state):
+        old = _old_discrete_gradient(f)
+        expected = _old_discrete_divergence(f, zeros).tobytes()
+        assert np.isfinite(old).all()
+        for field in _layouts(f):
+            gx, gy = discrete_gradient(field)
+            assert gx.tobytes() == old[0].tobytes() and gy.tobytes() == old[1].tobytes()
+            assert discrete_divergence(field, zeros).tobytes() == expected
+            assert discrete_divergence(zeros, field).tobytes() == (
+                _old_discrete_divergence(zeros, f).tobytes())
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencils_still_report_an_overflow_inside_the_grid(axis):
+    # the one overflowing difference runs down a column (axis 0) or along a row
+    f = np.zeros((3, 4), dtype=np.complex128)
+    f[1, 1] = 1e308
+    f[(0, 1) if axis == 0 else (1, 0)] = -1e308
+    zeros = np.zeros_like(f)
+    for field in _layouts(f):
+        pair = (zeros, field) if axis == 0 else (field, zeros)
+        for stencil, args in ((discrete_gradient, (field,)), (discrete_divergence, pair)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                stencil(*args)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                stencil(*args)
+
+
+def _quotient_tv_gradient(f, epsilon):
+    """tv_gradient as first written: a complex quotient by the real scale."""
+    grad = gradient_of(f)
+    scale = np.sqrt(grad.mag_sq + epsilon**2)
+    return np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
+
+
+def _quotient_huber_gradient(f, delta):
+    """huber_gradient as first written: a complex quotient by the real scale."""
+    grad = gradient_of(f)
+    scale = np.sqrt(grad.mag_sq / delta**2 + 1.0)
+    out = np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
+    out /= delta**2
+    return out
+
+
+# (field scale, epsilon or delta): tiny and huge scales, none of whose
+# squared gradients or 1/delta**2 factors overflow
+GRADIENT_SCALES = [(1.0, 1e-150), (1.0, 1e-8), (1.0, 1.0), (1.0, 1e150),
+                   (1e-150, 1e-150), (1e150, 1e150), (1e-100, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES), st.booleans())
+def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, real):
+    size, param = scales
+    f = f.real * size if real else f * size
+    grad = gradient_of(f)
+    tv_scale = np.sqrt(grad.mag_sq + param**2)
+    for gradient, oracle, kwargs in ((tv_gradient, _quotient_tv_gradient, {"scale": tv_scale}),
+                                     (huber_gradient, _quotient_huber_gradient, {})):
+        expected = oracle(f, param)
+        got = gradient(f, param)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        for out in (np.empty_like(f), *_strided_outs(f.shape, f.dtype)):
+            assert gradient(f, param, grad, out=out, **kwargs) is out
+            assert out.tobytes() == expected.tobytes()
 
 
 def _gradient_buffers(shape):
