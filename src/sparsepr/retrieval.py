@@ -15,8 +15,8 @@ import numpy as np
 from .fourier import forward_transform, impose_magnitude, inverse_transform
 from .grids import (SettingError, Workspace, as_magnitude, as_mask, check_number,
                     check_same_shape, l2_norm)
-from .sparsity import (PenaltySpec, huber_value, select_delta, sparsity_descent,
-                       support_window, tv_value)
+from .sparsity import (PenaltySpec, _window_of, gradient_of, huber_value, select_delta,
+                       sparsity_descent, support_window, tv_value)
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,16 @@ def penalty_value(field, region, spec: PenaltySpec) -> float:
     spec's delta rule for kind "huber", total variation for any other kind.
 
     `region` is a mask or a SupportWindow. This is the value of a run's
-    penalty trace and of every reported final penalty.
+    penalty trace and of every reported final penalty. For Huber, the
+    window's gradient is taken once and serves both select_delta and
+    huber_value.
     """
-    if spec.kind == "huber":
-        delta = select_delta(field, region) if spec.delta_rule == "median" else spec.delta_rule
-        return huber_value(field, delta, region)
-    return tv_value(field, region)
+    if spec.kind != "huber":
+        return tv_value(field, region)
+    f, window = _window_of(field, region)
+    grad = gradient_of(f[window.rows, window.cols])
+    delta = select_delta(field, window, grad) if spec.delta_rule == "median" else spec.delta_rule
+    return huber_value(field, delta, window, grad)
 
 
 def run_hio(magnitude, mask, config: RetrievalConfig, *,

@@ -304,17 +304,31 @@ def huber_gradient(field, delta, grad: Gradient | None = None, *, out=None) -> n
 def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     """Median gradient magnitude over the region's pixels.
 
-    Falls back to 1e-6 * (max gradient magnitude, or 1 if that is zero)
-    when the median itself is zero, e.g. for a constant field.
+    One partial selection of the n squared moduli sq = |grad|^2 at
+    k = (n-1)//2 finds the middle, and only it is square-rooted: sqrt(sq[k]),
+    or for even n (sqrt(sq[k]) + sqrt(min of sq above k)) / 2. sqrt is
+    monotone and correctly rounded, so these are the order statistics of
+    |grad|, and the result has the bits of numpy's median of |grad|, whose
+    mean of the middle pair also adds before it halves.
+
+    Falls back to 1e-6 * (max gradient magnitude, or 1 if that is zero or
+    NaN) when the median itself is zero, e.g. for a constant field, or when
+    a sample is NaN.
     """
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    mags = np.sqrt(grad.mag_sq)[submask]
-    med = float(np.median(mags))
-    if med > 0:
-        return med
-    peak = float(mags.max()) if mags.size else 0.0
+    sq = grad.mag_sq[submask]  # a copy: the caller's mag_sq is not reordered
+    if not sq.size:
+        return 1e-6
+    k = (sq.size - 1) // 2
+    sq.partition(k)
+    # NaN sorts last, so a NaN sample makes sq[k] or `above` NaN.
+    above = sq[k + 1:].min(initial=np.inf)
+    med = np.sqrt(sq[k]) if sq.size % 2 else (np.sqrt(sq[k]) + np.sqrt(above)) / 2
+    if med > 0 and not np.isnan(above):
+        return float(med)
+    peak = float(np.sqrt(sq.max()))
     return 1e-6 * (peak if peak > 0 else 1.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepr import retrieval
+from sparsepr import retrieval, sparsity
 from sparsepr.experiment import binary_phase_phantom, gray_phase_phantom, make_support, PhantomSpec
 from sparsepr.fourier import forward_transform, magnitude_of
 from sparsepr.grids import SettingError
@@ -430,6 +430,31 @@ def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch
     cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="tv", n_inner_steps=2))
     run_hio(magnitude, mask, cfg)
     assert counts == {name: 3 for name in stages}
+
+
+@pytest.mark.parametrize("delta_rule", ["median", 0.3])
+@pytest.mark.parametrize("as_window", [False, True])
+def test_huber_penalty_value_differences_the_window_once(monkeypatch, delta_rule, as_window):
+    # one gradient serves select_delta and huber_value, both still called
+    # through the retrieval module, and the value keeps its bits
+    truth, mask, _ = small_problem()
+    mask[mask.nonzero()[0][0], mask.nonzero()[1][0]] = False  # ragged
+    spec = PenaltySpec(kind="huber", delta_rule=delta_rule)
+    region = sparsity.support_window(mask) if as_window else mask
+    delta = sparsity.select_delta(truth, mask) if delta_rule == "median" else delta_rule
+    expected = sparsity.huber_value(truth, delta, mask)
+    calls = []
+    for module, name in [(retrieval, "gradient_of"), (sparsity, "gradient_of"),
+                         (retrieval, "select_delta"), (retrieval, "huber_value")]:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    value = retrieval.penalty_value(truth, region, spec)
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+    assert calls.count("gradient_of") == 1
+    assert calls.count("select_delta") == (delta_rule == "median")
+    assert calls.count("huber_value") == 1
 
 
 # ------------------------------------------------------------ properties

@@ -192,17 +192,27 @@ def test_huber_matches_quadratic_gradient_for_large_delta():
 def test_select_delta_constant_field_fallback():
     f = np.full((6, 6), 1 + 1j)
     assert select_delta(f) == pytest.approx(1e-6)
+    assert select_delta(np.zeros((0, 3))) == 1e-6  # no samples at all
+
+
+def _ramp(steps):
+    """A one-row field whose gradient moduli are |steps| and then 0, the far
+    edge's; i*step differences have exact moduli."""
+    return 1j * np.cumsum([0.0, *steps])[None, :]
 
 
 def test_select_delta_odd_median():
-    # gradient moduli {1,2,3,4,5} -> median 3; verify via the sort oracle
-    mags = np.array([1.0, 2, 3, 4, 5])
-    assert np.median(mags) == 3.0
+    assert select_delta(_ramp([4, -1, 5, 2])) == 2.0  # moduli 4 1 5 2 0
+    f = _ramp([4, -1, 5, 2, 3])
+    ragged = np.array([[True, True, False, True, True, True]])  # drops the 5
+    assert select_delta(f, ragged) == select_delta(f, support_window(ragged)) == 2.0
 
 
 def test_select_delta_even_median_is_middle_mean():
-    mags = np.array([1.0, 2, 3, 4])
-    assert np.median(mags) == 2.5
+    f = _ramp([4, -1, 5, 2, 3])  # moduli 4 1 5 2 3 0
+    assert select_delta(f) == 2.5
+    ragged = np.array([[False, True, False, True, True, True]])  # moduli 1 2 3 0
+    assert select_delta(f, ragged) == select_delta(f, support_window(ragged)) == 1.5
 
 
 def test_select_delta_matches_sort_oracle():
@@ -213,7 +223,71 @@ def test_select_delta_matches_sort_oracle():
     mags = np.sort(np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2).ravel())
     n = mags.size
     oracle = (mags[n // 2 - 1] + mags[n // 2]) / 2 if n % 2 == 0 else mags[n // 2]
-    assert select_delta(f, region) == pytest.approx(oracle, rel=1e-14)
+    assert select_delta(f, region) == oracle
+
+
+def median_delta_oracle(field, region=None):
+    """select_delta as it was composed from np.median, kept as the oracle."""
+    if region is None:
+        sub, submask = field, np.ones(field.shape, dtype=bool)
+    else:
+        window = region if isinstance(region, sparsity.SupportWindow) else support_window(region)
+        sub, submask = field[window.rows, window.cols], window.mask
+    mags = np.sqrt(gradient_of(sub).mag_sq)[submask]
+    med = float(np.median(mags))
+    if med > 0:
+        return med
+    peak = float(mags.max()) if mags.size else 0.0
+    return 1e-6 * (peak if peak > 0 else 1.0)
+
+
+@st.composite
+def delta_cases(draw):
+    """A real or complex field, a region (None, a ragged mask or its
+    SupportWindow) and whether to pass the window's Gradient.
+
+    Few levels give duplicated moduli and one level a flat field (the
+    fallback); a NaN or inf sample may land anywhere, often in the region."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 0]))
+
+    def part():
+        if levels:
+            return rng.integers(0, levels, size=(h, w)).astype(float)
+        return draw(st.sampled_from([1e-3, 1.0, 50.0])) * rng.normal(size=(h, w))
+
+    field = part() + 1j * part() if draw(st.booleans()) else part()
+    mask = rng.random((h, w)) < draw(st.floats(0.2, 1.0))
+    mask[rng.integers(h), rng.integers(w)] = True
+    if draw(st.booleans()):
+        field[: draw(st.integers(0, h))] = 2.0  # flat rows
+    special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if special is not None:
+        ys, xs = np.nonzero(mask) if draw(st.booleans()) else np.nonzero(np.ones((h, w)))
+        i = rng.integers(ys.size)
+        field[ys[i], xs[i]] = special
+    region = draw(st.sampled_from(["none", "mask", "window"]))
+    region = {"none": None, "mask": mask, "window": support_window(mask)}[region]
+    return field, region, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_cases())
+def test_select_delta_is_bit_equal_to_the_median_composition(case):
+    field, region, with_grad = case
+    expected = median_delta_oracle(field, region)
+    if with_grad:
+        window = support_window(region) if isinstance(region, np.ndarray) else region
+        sub = field if window is None else field[window.rows, window.cols]
+        grad = gradient_of(sub)
+        before = [a.tobytes() for a in grad]
+        got = select_delta(field, region, grad)
+        assert [a.tobytes() for a in grad] == before
+    else:
+        got = select_delta(field, region)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # ------------------------------------------------------------ line search
