@@ -83,14 +83,8 @@ class PenaltySpec:
             object.__setattr__(self, "delta_rule", delta)
 
 
-def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-difference gradient (gx, gy); zero at the far edges."""
-    f = np.ascontiguousarray(field)
-    if out is not None and not (out[0].flags.c_contiguous and out[1].flags.c_contiguous):
-        for part, value in zip(out, discrete_gradient(f)):
-            np.copyto(part, value)
-        return out
-    gx, gy = (np.empty_like(f), np.empty_like(f)) if out is None else out
+def _gradient_into(f, gx, gy):
+    """discrete_gradient's stencil, unchecked: C-contiguous arrays of one shape."""
     # x-differences on the flattened rows, from f shifted into gx: its last
     # column holds 0, so the pair that wraps to the next row is 0 - f.
     flat = gx.reshape(-1)
@@ -103,16 +97,8 @@ def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
-    """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
-    gx = np.ascontiguousarray(gx)
-    gy = np.asarray(gy)
-    check_same_shape(gx, gy)
-    if out is not None and not out.flags.c_contiguous:
-        np.copyto(out, discrete_divergence(gx, gy))
-        return out
-    if out is None:
-        out = np.empty_like(gx)
+def _divergence_into(gx, gy, out):
+    """discrete_divergence's stencil, unchecked: gx and out C-contiguous, gy of their shape."""
     # Last column of gx / last row of gy never contribute to <grad f, p>,
     # so the adjoint ignores them; along an axis of length 1 nothing does.
     if out.shape[1] > 1:
@@ -129,6 +115,27 @@ def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
         out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
         out[-1, :] -= gy[-2, :]
     return out
+
+
+def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-difference gradient (gx, gy); zero at the far edges."""
+    f = np.ascontiguousarray(field)
+    if out is not None and not (out[0].flags.c_contiguous and out[1].flags.c_contiguous):
+        for part, value in zip(out, discrete_gradient(f)):
+            np.copyto(part, value)
+        return out
+    return _gradient_into(f, *((np.empty_like(f), np.empty_like(f)) if out is None else out))
+
+
+def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
+    """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
+    gx = np.ascontiguousarray(gx)
+    gy = np.asarray(gy)
+    check_same_shape(gx, gy)
+    if out is not None and not out.flags.c_contiguous:
+        np.copyto(out, discrete_divergence(gx, gy))
+        return out
+    return _divergence_into(gx, gy, np.empty_like(gx) if out is None else out)
 
 
 class SupportWindow(NamedTuple):
@@ -167,7 +174,9 @@ def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
 
 
 def _restrict(field, region):
-    """Bounding-box view of the field and mask for in-support penalties."""
+    """Bounding-box view of the field and mask (None for region None)."""
+    if region is None:
+        return np.asarray(field), None
     f, window = _window_of(field, region)
     return f[window.rows, window.cols], window.mask
 
@@ -188,7 +197,11 @@ class Gradient(NamedTuple):
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
     """The field's Gradient (`out` is a Gradient of arrays)."""
-    gx, gy = discrete_gradient(field, out=None if out is None else (out.gx, out.gy))
+    f = np.asarray(field)
+    if out is not None and all(a.flags.c_contiguous for a in (f, out.gx, out.gy)):
+        gx, gy = _gradient_into(f, out.gx, out.gy)
+    else:
+        gx, gy = discrete_gradient(f, out=None if out is None else (out.gx, out.gy))
     mag_sq = np.abs(gx, out=None if out is None else out.mag_sq)
     np.square(mag_sq, out=mag_sq)
     gy_sq = np.abs(gy)
@@ -197,14 +210,15 @@ def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
 
 
 def _region_sum(values, submask) -> float:
-    """Sum of `values` where `submask` is true.
+    """Sum of `values` where `submask` is true (everywhere if None).
 
     Over a full window a C-contiguous `values` is summed as it is: the
     same samples in the same order as the boolean-indexed copy, so the
-    same bits, without the copy.
+    same bits, without the copy. np.add.reduce is np.sum's own reduction.
     """
-    whole = submask.all() and values.flags.c_contiguous
-    return float(np.sum(values if whole else values[submask]))
+    if not ((submask is None or submask.all()) and values.flags.c_contiguous):
+        values = values.ravel() if submask is None else values[submask]
+    return float(np.add.reduce(values, axis=None))
 
 
 def tv_value(field, region=None) -> float:
@@ -233,21 +247,25 @@ def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None,
     return _region_sum(np.sqrt(smoothed, out=smoothed), submask)
 
 
-def _divided(grad: Gradient, scale) -> list[np.ndarray]:
-    """[gx / scale, gy / scale] for a positive real `scale`.
+def _divided_divergence(grad: Gradient, scale, out) -> np.ndarray:
+    """discrete_divergence(gx / scale, gy / scale) for a positive real `scale`.
 
     numpy's complex quotient by c + 0j is (a + b*0) * (1/c) part by part, so
     one reciprocal and two real products give its bits up to the sign of a
-    zero, on which discrete_divergence's output does not depend.
+    zero, on which discrete_divergence's output does not depend. The
+    quotients are new contiguous arrays, so they skip its checks.
     """
     if not np.iscomplexobj(grad.gx):
-        return [grad.gx / scale, grad.gy / scale]
-    inv = np.reciprocal(scale)
-    parts = [np.empty(g.shape, np.result_type(g, inv)) for g in grad[:2]]
-    for g, part in zip(grad, parts):
-        np.multiply(g.real, inv, out=part.real)
-        np.multiply(g.imag, inv, out=part.imag)
-    return parts
+        parts = [grad.gx / scale, grad.gy / scale]
+    else:
+        inv = np.reciprocal(scale)
+        parts = [np.empty(g.shape, np.result_type(g, inv)) for g in grad[:2]]
+        for g, part in zip(grad, parts):
+            np.multiply(g.real, inv, out=part.real)
+            np.multiply(g.imag, inv, out=part.imag)
+    if out is not None and not out.flags.c_contiguous:
+        return discrete_divergence(*parts, out=out)
+    return _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
 
 
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
@@ -263,7 +281,7 @@ def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
         grad = gradient_of(field)
     if scale is None:
         scale = np.sqrt(grad.mag_sq + epsilon**2)
-    out = discrete_divergence(*_divided(grad, scale), out=out)
+    out = _divided_divergence(grad, scale, out)
     return np.negative(out, out=out)
 
 
@@ -282,20 +300,23 @@ def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
     return _region_sum(per_pixel, submask)
 
 
-def huber_gradient(field, delta, grad: Gradient | None = None, *, out=None) -> np.ndarray:
+def huber_gradient(field, delta, grad: Gradient | None = None, *, scale=None,
+                   out=None) -> np.ndarray:
     """Functional gradient of the Huber penalty.
 
     -(1/delta^2) div(grad f / sqrt(1 + |grad f|^2/delta^2)); the
-    denominator is >= 1 so no extra smoothing is needed.
+    denominator is >= 1 so no extra smoothing is needed. A caller holding it
+    as sqrt(mag_sq / delta**2 + 1), in huber_value's order, passes it as `scale`.
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
     if grad is None:
         grad = gradient_of(field)
-    scale = grad.mag_sq / delta**2
-    scale += 1.0
-    np.sqrt(scale, out=scale)
-    out = discrete_divergence(*_divided(grad, scale), out=out)
+    if scale is None:
+        scale = grad.mag_sq / delta**2
+        scale += 1.0
+        np.sqrt(scale, out=scale)
+    out = _divided_divergence(grad, scale, out)
     np.negative(out, out=out)
     out /= delta**2
     return out
@@ -304,7 +325,7 @@ def huber_gradient(field, delta, grad: Gradient | None = None, *, out=None) -> n
 def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     """Median gradient magnitude over the region's pixels.
 
-    One partial selection of the n squared moduli sq = |grad|^2 at
+    One partial selection of a copy of the n squared moduli sq = |grad|^2 at
     k = (n-1)//2 finds the middle, and only it is square-rooted: sqrt(sq[k]),
     or for even n (sqrt(sq[k]) + sqrt(min of sq above k)) / 2. sqrt is
     monotone and correctly rounded, so these are the order statistics of
@@ -318,7 +339,7 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    sq = grad.mag_sq[submask]  # a copy: the caller's mag_sq is not reordered
+    sq = grad.mag_sq.flatten() if submask is None else grad.mag_sq[submask]  # copies
     if not sq.size:
         return 1e-6
     k = (sq.size - 1) // 2
@@ -332,31 +353,38 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     return 1e-6 * (peak if peak > 0 else 1.0)
 
 
-def backtracking_step(field, descent_dir, penalty, spec: PenaltySpec, p0=None, *,
+def backtracking_step(field, gradient, penalty, spec: PenaltySpec, p0=None, *,
                       out=None) -> float:
-    """Armijo backtracking along `descent_dir` (= minus the penalty gradient).
+    """Armijo backtracking along minus `gradient`, the penalty's gradient.
 
     Tries t = t0 * LS_SHRINK^k for k = 0..60, where t0 is t_init rescaled
-    by 1/max(1, max|descent_dir|) to keep the first trial comparable
-    across image scales. Returns the first t with
-    penalty(field + t*d) <= penalty(field) - LS_ALPHA * t * ||d||^2,
+    by 1/max(1, max|gradient|) to keep the first trial comparable across
+    image scales. Returns the first t with
+    penalty(field - t*g) <= penalty(field) - LS_ALPHA * t * ||g||^2,
     or 0.0 if none qualifies (no progress possible at this resolution).
     A caller that already knows penalty(field) passes it as `p0`, which
     saves one evaluation; penalty is then called on trial points only.
 
-    Each trial field + t*d is written into `out`, if given. When it returns
-    t > 0, its last call to `penalty` was on the accepted trial, which is
-    then in `out`; sparsity_descent relies on this.
+    A trial is field + (-t)*g, -t of g's type: for complex g, -t - 0j, whose
+    four real products with g are those of t + 0j with -g. So each trial is
+    field + t*(-g) bit for bit, signed zeros too; a part of g held at -0
+    (-0 - 0j) steps as a part of -g held at +0.
+
+    Each trial is written into `out`, if given. When it returns t > 0, its
+    last call to `penalty` was on the accepted trial, which is then in
+    `out`; sparsity_descent relies on this.
     """
-    d = np.asarray(descent_dir)
-    d_abs = np.abs(d)
-    d_max = float(np.max(d_abs)) if d.size else 0.0
-    d_sq = float(np.sum(np.square(d_abs, out=d_abs)))
+    g = np.asarray(gradient)
+    scalar = np.result_type(g, 1.0).type
+    g_abs = np.abs(g)
+    g_max = float(np.maximum.reduce(g_abs, axis=None)) if g.size else 0.0
+    g_sq = float(np.add.reduce(np.square(g_abs, out=g_abs), axis=None))
     if p0 is None:
         p0 = penalty(field)
-    t = spec.t_init / max(1.0, d_max)
+    t = spec.t_init / max(1.0, g_max)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
-        if penalty(np.add(field, np.multiply(t, d, out=out), out=out)) <= p0 - LS_ALPHA * t * d_sq:
+        trial = np.add(field, np.multiply(-scalar(t), g, out=out), out=out)
+        if penalty(trial) <= p0 - LS_ALPHA * t * g_sq:
             return t
         t *= LS_SHRINK
     return 0.0
@@ -371,15 +399,14 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     everything else is returned unchanged bit-for-bit. For the Huber
     penalty, delta is recomputed from the current iterate at every step.
 
-    A step is tv_gradient (or select_delta and huber_gradient) followed by
-    backtracking_step with the penalty's value function. The accepted
-    line-search trial is the next iterate, so its Gradient and, for TV
-    (whose epsilon is fixed for the call), its penalty value and per-pixel
-    smoothed modulus carry over as that step's `grad`, `p0` and `scale`:
-    a step differences one array per trial.
+    A step calls tv_gradient (or select_delta and huber_gradient), then
+    backtracking_step with the gradient, -0 outside the support, and the
+    penalty's value function. The accepted trial is the next iterate: its
+    Gradient and, for TV, its penalty value and smoothed modulus are the next
+    step's `grad`, `p0` and `scale`; for Huber one pass makes `scale` and,
+    less 1, the terms of `p0`. An all-support window is region None.
 
-    The window-sized arrays the steps write (two iterates, one Gradient,
-    the per-pixel penalty and the direction) come from `work`, so a caller
+    The window-sized arrays the steps write come from `work`, so a caller
     that passes the same Workspace to every call allocates them once.
 
     An overflow in a step raises FloatingPointError (numpy's own message).
@@ -394,8 +421,9 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     sub = f[window.rows, window.cols]
     inside = window.mask
     outside = None if inside.all() else ~inside
-    # The window's own window: `sub` is all of it, so penalty calls crop nothing.
-    local = SupportWindow(sub.shape, slice(None), slice(None), inside)
+    # The window's own window, or None if all support: penalty calls crop nothing.
+    submask = None if outside is None else inside
+    local = None if outside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     tv = spec.kind == "tv"
     if tv:
         eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
@@ -413,7 +441,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     # The line search reads `sub` while it writes a trial, so the iterate
     # alternates between two arrays and never lands in the caller's field.
     trial, spare = buffer("iterate_a"), buffer("iterate_b")
-    direction = buffer("direction")
+    gradient = buffer("gradient")
     per_pixel = buffer("per_pixel", real)
     grad = gradient_of(sub, out=Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", real)))
     last = None
@@ -435,17 +463,19 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
         p0 = smoothed_tv_value(sub, eps, local, grad, out=per_pixel) if tv else None
         for _ in range(spec.n_inner_steps):
             if tv:
-                tv_gradient(sub, eps, grad, scale=per_pixel, out=direction)
+                tv_gradient(sub, eps, grad, scale=per_pixel, out=gradient)
             else:
                 if spec.delta_rule == "median":
                     delta = select_delta(sub, local, grad)
-                huber_gradient(sub, delta, grad, out=direction)
-                p0 = huber_value(sub, delta, local, grad, out=per_pixel)
-            np.negative(direction, out=direction)
+                np.divide(grad.mag_sq, delta**2, out=per_pixel)
+                per_pixel += 1.0
+                np.sqrt(per_pixel, out=per_pixel)
+                huber_gradient(sub, delta, grad, scale=per_pixel, out=gradient)
+                p0 = _region_sum(np.subtract(per_pixel, 1.0, out=per_pixel), submask)
             if outside is not None:
-                np.copyto(direction, 0, where=outside)
-            if not direction.any() or backtracking_step(sub, direction, penalty, spec, p0=p0,
-                                                        out=trial) == 0.0:
+                np.copyto(gradient, -dtype.type(0), where=outside)  # see backtracking_step
+            if not gradient.any() or backtracking_step(sub, gradient, penalty, spec, p0=p0,
+                                                       out=trial) == 0.0:
                 break
             # t > 0: the last penalty call was on the accepted trial, now in
             # `trial`, and left its Gradient in `grad` and, for TV, its smoothed

@@ -306,7 +306,7 @@ def test_backtracking_quadratic_hand_case():
     f = np.ones((2, 2), dtype=np.complex128)
     d = -np.ones_like(f)
     penalty = lambda g: float(np.sum(np.abs(g) ** 2) / 2)  # noqa: E731
-    t = backtracking_step(f, d, penalty, spec)
+    t = backtracking_step(f, -d, penalty, spec)
     assert t == 1.0
 
 
@@ -316,7 +316,7 @@ def test_backtracking_accepted_step_never_increases_penalty():
     eps = 0.05
     d = -tv_gradient(f, eps)
     penalty = lambda g: smoothed_tv_value(g, eps)  # noqa: E731
-    t = backtracking_step(f, d, penalty, spec)
+    t = backtracking_step(f, -d, penalty, spec)
     assert t > 0
     assert penalty(f + t * d) <= penalty(f)
 
@@ -454,10 +454,11 @@ def test_descent_steps_through_the_public_functions(monkeypatch, kind):
 
 # ------------------------------------------------------------ descent properties
 
-def reference_descent(field, mask, spec):
+def reference_descent(field, mask, spec, iterates=None):
     """The descent block composed from the public functions: per step one
     tv_gradient or select_delta + huber_gradient, then backtracking_step
-    with the penalty's own value function."""
+    with the penalty's own value function. The next window iterate is
+    formed here as sub + t*direction, and appended to `iterates` if given."""
     f = np.asarray(field)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
@@ -480,10 +481,12 @@ def reference_descent(field, mask, spec):
         direction = np.where(submask, -grad, 0)
         if not direction.any():
             break
-        t = backtracking_step(sub, direction, penalty, spec)
+        t = backtracking_step(sub, -direction, penalty, spec)
         if t == 0.0:
             break
         sub = sub + t * direction
+        if iterates is not None:
+            iterates.append(sub)
     out = f.copy()
     out[win] = np.where(submask, sub, out[win])
     return out
@@ -604,9 +607,10 @@ def _old_discrete_divergence(gx, gy):
 
 
 @st.composite
-def signed_zero_fields(draw):
+def signed_zero_fields(draw, shape=None):
     """Complex fields, 1-wide ones included, with many +0/-0 components."""
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if shape is None:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
     field = np.empty(shape, dtype=np.complex128)
     field.real = draw(hnp.arrays(np.float64, shape, elements=parts))
@@ -731,8 +735,10 @@ def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, rea
     f = f.real * size if real else f * size
     grad = gradient_of(f)
     tv_scale = np.sqrt(grad.mag_sq + param**2)
+    huber_scale = np.sqrt(grad.mag_sq / param**2 + 1.0)
     for gradient, oracle, kwargs in ((tv_gradient, _quotient_tv_gradient, {"scale": tv_scale}),
-                                     (huber_gradient, _quotient_huber_gradient, {})):
+                                     (huber_gradient, _quotient_huber_gradient,
+                                      {"scale": huber_scale})):
         expected = oracle(f, param)
         got = gradient(f, param)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -764,10 +770,11 @@ def _regions(shape):
     return np.ones(shape, dtype=bool), ragged
 
 
-@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("ragged", [False, True, None])
 def test_penalty_values_into_out_are_byte_equal(ragged):
     f = _step_edge_with_noise(n=12, seed=61)
-    region = _regions(f.shape)[ragged]
+    region = None if ragged is None else _regions(f.shape)[ragged]
+    pick = np.ones(f.shape, dtype=bool) if region is None else region
     grad = gradient_of(f)
     before = [a.tobytes() for a in (f, *grad)]
     smoothed = np.sqrt(grad.mag_sq + 1e-3**2)
@@ -776,11 +783,11 @@ def test_penalty_values_into_out_are_byte_equal(ragged):
     for out in (np.empty(f.shape), np.empty((f.shape[0], 2 * f.shape[1]))[:, ::2]):
         value = smoothed_tv_value(f, 1e-3, region, grad, out=out)
         assert out.tobytes() == smoothed.tobytes()
-        assert value == smoothed_tv_value(f, 1e-3, region) == float(np.sum(smoothed[region]))
+        assert value == smoothed_tv_value(f, 1e-3, region) == float(np.sum(smoothed[pick]))
         value = huber_value(f, 0.4, region, grad, out=out)
         assert out.tobytes() == huber.tobytes()
-        assert value == huber_value(f, 0.4, region) == float(np.sum(huber[region]))
-    assert tv_value(f, region) == float(np.sum(np.sqrt(grad.mag_sq)[region]))
+        assert value == huber_value(f, 0.4, region) == float(np.sum(huber[pick]))
+    assert tv_value(f, region) == float(np.sum(np.sqrt(grad.mag_sq)[pick]))
     assert [a.tobytes() for a in (f, *grad)] == before
 
 
@@ -800,7 +807,7 @@ def test_penalty_gradients_into_out_are_byte_equal():
 @pytest.mark.parametrize("t_init", [0.02, 50.0])
 def test_backtracking_into_out_keeps_the_accepted_trial(t_init):
     f = _step_edge_with_noise(n=10, seed=63)
-    d = -tv_gradient(f, 1e-3)
+    gradient = tv_gradient(f, 1e-3)
     spec = PenaltySpec(kind="tv", t_init=t_init)
     trials = []
 
@@ -808,12 +815,14 @@ def test_backtracking_into_out_keeps_the_accepted_trial(t_init):
         trials.append(g.copy())
         return smoothed_tv_value(g, 1e-3)
 
-    before = (f.tobytes(), d.tobytes())
+    before = (f.tobytes(), gradient.tobytes())
     out = np.empty_like(f)
-    t = backtracking_step(f, d, penalty, spec, out=out)
-    assert t > 0 and t == backtracking_step(f, d, lambda g: smoothed_tv_value(g, 1e-3), spec)
-    assert out.tobytes() == trials[-1].tobytes() == (f + t * d).tobytes()
-    assert (f.tobytes(), d.tobytes()) == before
+    t = backtracking_step(f, gradient, penalty, spec, out=out)
+    again = backtracking_step(f, gradient, lambda g: smoothed_tv_value(g, 1e-3), spec)
+    assert t > 0 and t == again
+    assert out.tobytes() == trials[-1].tobytes() == (f + t * -gradient).tobytes()
+    assert out.tobytes() == (f - t * gradient).tobytes()
+    assert (f.tobytes(), gradient.tobytes()) == before
     if t_init > 1:
         assert len(trials) > 2  # p0, then rejected trials before the accepted one
 
@@ -828,3 +837,103 @@ def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
         assert sparsity_descent(field, mask, spec, out=out, work=work) is out
         assert out.tobytes() == sparsity_descent(field, mask, spec).tobytes()
         assert (field.tobytes(), mask.tobytes()) == before
+
+
+# ------------------------------------------------------------ the lean descent step
+
+@settings(max_examples=200, deadline=None)
+@given(signed_zero_fields(), signed_zero_fields(), st.booleans())
+def test_private_stencils_match_the_public_ones_bit_for_bit(f, p, real):
+    if real:
+        f, p = f.real.copy(), p.real.copy()
+    gx, gy = np.full_like(f, np.nan), np.full_like(f, np.nan)
+    assert all(a is b for a, b in zip(sparsity._gradient_into(f, gx, gy), (gx, gy)))
+    for got, public, first in zip((gx, gy), discrete_gradient(f), _old_discrete_gradient(f)):
+        assert got.tobytes() == public.tobytes() == first.tobytes()
+    for x, y in ((gx, gy), (p, p[::-1].copy())):
+        out = np.full_like(x, np.nan)
+        assert sparsity._divergence_into(x, y, out) is out
+        assert out.tobytes() == discrete_divergence(x, y).tobytes() == (
+            _old_discrete_divergence(x, y).tobytes())
+
+
+@pytest.mark.parametrize("delta_rule", ["median", 0.7])
+@pytest.mark.parametrize("ragged", [False, True])
+def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, delta_rule, ragged):
+    """The descent takes each Huber step's p0 from huber_gradient's scale,
+    not from huber_value; it must be huber_value's number all the same."""
+    f = _step_edge_with_noise(n=12, seed=65)
+    mask = np.ones(f.shape, dtype=bool)
+    mask[0, :3] = not ragged
+    deltas, steps = [], []
+    select, step = sparsity.select_delta, sparsity.backtracking_step
+
+    def selecting(*args):
+        deltas.append(select(*args))
+        return deltas[-1]
+
+    def stepping(field, gradient, penalty, spec, p0=None, *, out=None):
+        steps.append((field.copy(), p0))
+        return step(field, gradient, penalty, spec, p0, out=out)
+
+    monkeypatch.setattr(sparsity, "select_delta", selecting)
+    monkeypatch.setattr(sparsity, "backtracking_step", stepping)
+    sparsity_descent(f, mask, PenaltySpec(kind="huber", n_inner_steps=5, delta_rule=delta_rule))
+    assert len(steps) == 5 and len(deltas) == (5 if delta_rule == "median" else 0)
+    submask = support_window(mask).mask
+    for i, (sub, p0) in enumerate(steps):
+        delta = deltas[i] if delta_rule == "median" else delta_rule
+        assert type(p0) is float
+        assert np.float64(p0).tobytes() == np.float64(huber_value(sub, delta, submask)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_backtracking_trials_keep_every_signed_zero(data, real):
+    """Each trial is field + t*(-gradient) bit for bit, whatever zeros the
+    field and the gradient hold: the trial scalar is -t - 0j, not -t + 0j."""
+    f = data.draw(signed_zero_fields())
+    gradient = data.draw(signed_zero_fields(f.shape))
+    if real:
+        f, gradient = f.real.copy(), gradient.real.copy()
+    values = iter([1.0, 1.0, -np.inf])  # two trials rejected, the third accepted
+    trials = []
+
+    def penalty(g):
+        trials.append(g.copy())
+        return next(values)
+
+    spec = PenaltySpec(kind="tv")
+    assert backtracking_step(f, gradient, penalty, spec, p0=0.0, out=np.empty_like(f)) > 0
+    t = spec.t_init / max(1.0, float(np.max(np.abs(gradient))))
+    expected = [(f + t * 0.5**k * -gradient).tobytes() for k in range(3)]
+    assert [trial.tobytes() for trial in trials] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(descent_cases(), st.integers(0, 2**32 - 1), st.booleans())
+def test_descent_iterates_keep_every_signed_zero(case, seed, real):
+    """Every accepted trial, outside pixels of the window included, is the
+    window iterate sub + t*direction with direction +0 outside the support,
+    on fields that hold -0 components inside and outside it."""
+    field, mask, spec = case
+    rng = np.random.default_rng(seed)
+    field = field.real.copy() if real else field.copy()
+    field.real[rng.random(field.shape) < 0.3] = -0.0
+    if not real:
+        field.imag[rng.random(field.shape) < 0.3] = -0.0
+    accepted = []
+    step = sparsity.backtracking_step
+
+    def stepping(*args, out=None, **kwargs):
+        t = step(*args, out=out, **kwargs)
+        if t > 0:
+            accepted.append(out.copy())
+        return t
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparsity, "backtracking_step", stepping)
+        got = sparsity_descent(field, mask, spec)
+    iterates = []
+    assert got.tobytes() == reference_descent(field, mask, spec, iterates).tobytes()
+    assert [a.tobytes() for a in accepted] == [a.tobytes() for a in iterates]

@@ -77,3 +77,22 @@ def test_a_phantom_records_one_phantom_span(tmp_path, entry, kind):
         else:
             sp.phantom(spec)
     assert [span[0] for span in tracer.spans].count("experiment.phantom") == 1
+
+
+@pytest.mark.parametrize("kind", ["tv", "huber"])
+def test_the_descent_steps_through_the_traced_functions(kind):
+    """A descent that stopped calling a traced name would leave its metrics
+    null in the benchmark's traced run; here it fails the suite instead."""
+    truth = sp.binary_phase_phantom(sp.PhantomSpec(image_size=32, support_size=12))
+    magnitude = sp.magnitude_of(sp.forward_transform(truth))
+    mask = sp.make_support(32, 12)
+    config = sp.RetrievalConfig(n_iterations=2,
+                                penalty=sp.PenaltySpec(kind=kind, n_inner_steps=2))
+    with _TRACING.Tracer() as tracer:
+        sp.run_hio(magnitude, mask, config)
+    names = [span[0] for span in tracer.spans]
+    inner_steps = config.n_iterations * config.penalty.n_inner_steps
+    assert names.count("sparsity.gradient") == inner_steps
+    assert names.count(_TRACING.LINE_SEARCH) == inner_steps
+    assert names.count(_TRACING.PENALTY_EVAL) >= inner_steps
+    assert names.count("sparsity.select_delta") == (inner_steps if kind == "huber" else 0)
