@@ -27,9 +27,12 @@ def as_complex_field(a) -> np.ndarray:
 
 
 def as_mask(a) -> np.ndarray:
-    """Validate and return a 2D boolean support mask with at least one true pixel."""
+    """Validate and return a 2D boolean support mask with at least one true pixel.
+    A non-boolean mask must be finite: the cast would make NaN or inf support."""
     m = np.asarray(a)
     if m.dtype != np.bool_:
+        if m.dtype.kind in "fc" and not np.isfinite(m).all():
+            raise ValueError("mask contains non-finite samples")
         m = m.astype(bool)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2D, got shape {m.shape}")

@@ -117,41 +117,34 @@ def _divergence_into(gx, gy, out):
     return out
 
 
-def discrete_gradient(field, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+def discrete_gradient(field) -> tuple[np.ndarray, np.ndarray]:
     """Forward-difference gradient (gx, gy); zero at the far edges."""
     f = np.ascontiguousarray(field)
-    if out is not None and not (out[0].flags.c_contiguous and out[1].flags.c_contiguous):
-        for part, value in zip(out, discrete_gradient(f)):
-            np.copyto(part, value)
-        return out
-    return _gradient_into(f, *((np.empty_like(f), np.empty_like(f)) if out is None else out))
+    return _gradient_into(f, np.empty_like(f), np.empty_like(f))
 
 
-def discrete_divergence(gx, gy, *, out=None) -> np.ndarray:
+def discrete_divergence(gx, gy) -> np.ndarray:
     """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
     gx = np.ascontiguousarray(gx)
     gy = np.asarray(gy)
     check_same_shape(gx, gy)
-    if out is not None and not out.flags.c_contiguous:
-        np.copyto(out, discrete_divergence(gx, gy))
-        return out
-    return _divergence_into(gx, gy, np.empty_like(gx) if out is None else out)
+    return _divergence_into(gx, gy, np.empty_like(gx))
 
 
 class SupportWindow(NamedTuple):
     """A support mask cut to its bounding box.
 
     `shape` is the full grid's shape, `rows`/`cols` slice the window out
-    of it and `mask` is the support inside the window. Every penalty
-    function accepts one wherever it accepts a region mask; a caller that
-    evaluates penalties many times on one support builds it once with
-    `support_window` and skips the per-call mask checks and cropping.
+    of it and `mask` is the support inside the window, None if all of it.
+    Every penalty function accepts one wherever it accepts a region mask; a
+    caller that evaluates penalties many times on one support builds it
+    once with `support_window` and skips the per-call checks and cropping.
     """
 
     shape: tuple
     rows: slice
     cols: slice
-    mask: np.ndarray
+    mask: np.ndarray | None
 
 
 def support_window(region) -> SupportWindow:
@@ -159,14 +152,15 @@ def support_window(region) -> SupportWindow:
     m = as_mask(region)
     x0, y0, x1, y1 = bounding_box(m)
     rows, cols = slice(y0, y1 + 1), slice(x0, x1 + 1)
-    return SupportWindow(m.shape, rows, cols, m[rows, cols])
+    inside = m[rows, cols]
+    return SupportWindow(m.shape, rows, cols, None if inside.all() else inside)
 
 
 def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
     """The field as an array and the window of `region` (whole grid if None)."""
     f = np.asarray(field)
     if region is None:
-        return f, SupportWindow(f.shape, slice(None), slice(None), np.ones(f.shape, dtype=bool))
+        return f, SupportWindow(f.shape, slice(None), slice(None), None)
     window = region if isinstance(region, SupportWindow) else support_window(region)
     if f.shape != window.shape:
         raise ValueError(f"shape mismatch: {sorted({f.shape, window.shape})}")
@@ -174,7 +168,7 @@ def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
 
 
 def _restrict(field, region):
-    """Bounding-box view of the field and mask (None for region None)."""
+    """Bounding-box view of the field and its window's mask."""
     if region is None:
         return np.asarray(field), None
     f, window = _window_of(field, region)
@@ -196,12 +190,9 @@ class Gradient(NamedTuple):
 
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
-    """The field's Gradient (`out` is a Gradient of arrays)."""
-    f = np.asarray(field)
-    if out is not None and all(a.flags.c_contiguous for a in (f, out.gx, out.gy)):
-        gx, gy = _gradient_into(f, out.gx, out.gy)
-    else:
-        gx, gy = discrete_gradient(f, out=None if out is None else (out.gx, out.gy))
+    """The field's Gradient (`out` is a Gradient of C-contiguous arrays)."""
+    f = np.ascontiguousarray(field)
+    gx, gy = _gradient_into(f, *((np.empty_like(f), np.empty_like(f)) if out is None else out[:2]))
     mag_sq = np.abs(gx, out=None if out is None else out.mag_sq)
     np.square(mag_sq, out=mag_sq)
     gy_sq = np.abs(gy)
@@ -210,15 +201,8 @@ def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
 
 
 def _region_sum(values, submask) -> float:
-    """Sum of `values` where `submask` is true (everywhere if None).
-
-    Over a full window a C-contiguous `values` is summed as it is: the
-    same samples in the same order as the boolean-indexed copy, so the
-    same bits, without the copy. np.add.reduce is np.sum's own reduction.
-    """
-    if not ((submask is None or submask.all()) and values.flags.c_contiguous):
-        values = values.ravel() if submask is None else values[submask]
-    return float(np.add.reduce(values, axis=None))
+    """Row-major sum of `values` where `submask` is true (all if None), as np.sum reduces."""
+    return float(np.add.reduce(values.ravel() if submask is None else values[submask]))
 
 
 def tv_value(field, region=None) -> float:
@@ -253,19 +237,21 @@ def _divided_divergence(grad: Gradient, scale, out) -> np.ndarray:
     numpy's complex quotient by c + 0j is (a + b*0) * (1/c) part by part, so
     one reciprocal and two real products give its bits up to the sign of a
     zero, on which discrete_divergence's output does not depend. The
-    quotients are new contiguous arrays, so they skip its checks.
+    quotients are new contiguous arrays, so they skip its checks; a
+    strided `out` receives a copy of the kernel's result.
     """
     if not np.iscomplexobj(grad.gx):
-        parts = [grad.gx / scale, grad.gy / scale]
+        parts = [np.divide(g, scale, order="C") for g in grad[:2]]
     else:
         inv = np.reciprocal(scale)
         parts = [np.empty(g.shape, np.result_type(g, inv)) for g in grad[:2]]
         for g, part in zip(grad, parts):
             np.multiply(g.real, inv, out=part.real)
             np.multiply(g.imag, inv, out=part.imag)
-    if out is not None and not out.flags.c_contiguous:
-        return discrete_divergence(*parts, out=out)
-    return _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
+    if out is None or out.flags.c_contiguous:
+        return _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
+    np.copyto(out, _divergence_into(*parts, np.empty_like(parts[0])))
+    return out
 
 
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
@@ -285,6 +271,13 @@ def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
     return np.negative(out, out=out)
 
 
+def _huber_scale(mag_sq, delta, out=None) -> np.ndarray:
+    """sqrt(mag_sq / delta**2 + 1), Huber's per-pixel scale, in one operation order."""
+    scale = np.divide(mag_sq, delta**2, out=out)
+    scale += 1.0
+    return np.sqrt(scale, out=scale)
+
+
 def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
                 out=None) -> float:
     """Huber-style penalty sum of sqrt(1 + |grad g|^2/delta^2) - 1 over `region`."""
@@ -293,9 +286,7 @@ def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    per_pixel = np.divide(grad.mag_sq, delta**2, out=out)
-    per_pixel += 1.0
-    np.sqrt(per_pixel, out=per_pixel)
+    per_pixel = _huber_scale(grad.mag_sq, delta, out)
     per_pixel -= 1.0
     return _region_sum(per_pixel, submask)
 
@@ -313,9 +304,7 @@ def huber_gradient(field, delta, grad: Gradient | None = None, *, scale=None,
     if grad is None:
         grad = gradient_of(field)
     if scale is None:
-        scale = grad.mag_sq / delta**2
-        scale += 1.0
-        np.sqrt(scale, out=scale)
+        scale = _huber_scale(grad.mag_sq, delta)
     out = _divided_divergence(grad, scale, out)
     np.negative(out, out=out)
     out /= delta**2
@@ -403,8 +392,8 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     backtracking_step with the gradient, -0 outside the support, and the
     penalty's value function. The accepted trial is the next iterate: its
     Gradient and, for TV, its penalty value and smoothed modulus are the next
-    step's `grad`, `p0` and `scale`; for Huber one pass makes `scale` and,
-    less 1, the terms of `p0`. An all-support window is region None.
+    step's `grad`, `p0` and `scale`; for Huber one _huber_scale makes `scale`
+    and, less 1, the terms of `p0`. An all-support window is region None.
 
     The window-sized arrays the steps write come from `work`, so a caller
     that passes the same Workspace to every call allocates them once.
@@ -419,11 +408,10 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
         return out
     f, window = _window_of(f, region)
     sub = f[window.rows, window.cols]
-    inside = window.mask
-    outside = None if inside.all() else ~inside
+    inside = window.mask  # None if all of the window is support
+    outside = None if inside is None else ~inside
     # The window's own window, or None if all support: penalty calls crop nothing.
-    submask = None if outside is None else inside
-    local = None if outside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
+    local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     tv = spec.kind == "tv"
     if tv:
         eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
@@ -467,11 +455,9 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
             else:
                 if spec.delta_rule == "median":
                     delta = select_delta(sub, local, grad)
-                np.divide(grad.mag_sq, delta**2, out=per_pixel)
-                per_pixel += 1.0
-                np.sqrt(per_pixel, out=per_pixel)
-                huber_gradient(sub, delta, grad, scale=per_pixel, out=gradient)
-                p0 = _region_sum(np.subtract(per_pixel, 1.0, out=per_pixel), submask)
+                huber_gradient(sub, delta, grad, scale=_huber_scale(grad.mag_sq, delta, per_pixel),
+                               out=gradient)
+                p0 = _region_sum(np.subtract(per_pixel, 1.0, out=per_pixel), inside)
             if outside is not None:
                 np.copyto(gradient, -dtype.type(0), where=outside)  # see backtracking_step
             if not gradient.any() or backtracking_step(sub, gradient, penalty, spec, p0=p0,
@@ -483,5 +469,5 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
             sub, p0 = trial, last
             trial, spare = spare, trial
 
-    np.copyto(out[window.rows, window.cols], sub, where=inside)
+    np.copyto(out[window.rows, window.cols], sub, where=True if inside is None else inside)
     return out

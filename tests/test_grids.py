@@ -85,6 +85,15 @@ def test_mask_needs_true_pixel():
         as_mask(np.zeros((3, 3), dtype=bool))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_mask_refuses_non_finite_samples(bad):
+    m = np.array([[0.0, 2.0], [-1.0, 0.0]], dtype=type(bad))
+    assert as_mask(m).tolist() == [[False, True], [True, False]]
+    m[0, 0] = bad  # a cast would make it support
+    with pytest.raises(ValueError, match="non-finite"):
+        as_mask(m)
+
+
 def test_bounding_box():
     m = np.zeros((6, 8), dtype=bool)
     m[2:4, 3:6] = True

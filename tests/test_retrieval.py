@@ -162,6 +162,15 @@ def test_rejects_non_finite_magnitude():
                                                  penalty=PenaltySpec(kind="none")))
 
 
+@pytest.mark.parametrize("kind", ["none", "tv"])
+def test_rejects_a_mask_with_a_non_finite_sample(kind):
+    _, mask, magnitude = small_problem()
+    mask = mask.astype(float)
+    mask[0, 0] = np.nan  # outside the support
+    with pytest.raises(ValueError, match="mask contains non-finite samples"):
+        run_hio(magnitude, mask, RetrievalConfig(n_iterations=1, penalty=PenaltySpec(kind=kind)))
+
+
 def test_rejects_complex_magnitude():
     _, mask, magnitude = small_problem()
     magnitude = magnitude.astype(np.complex128)
