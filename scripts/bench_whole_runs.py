@@ -1,0 +1,141 @@
+"""Whole 500-iteration runs and the Huber quality pool, for two source trees.
+
+    python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
+        --repeats 5 --out BENCH_whole_runs.json
+
+A tree is a checkout of this repository; its `src/` is put first on
+PYTHONPATH. Every run is one fresh Python process, so the two trees never
+share a process or an allocator, and the two sides alternate: in repeat k
+the parent runs first for even k, the change for odd k.
+
+Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
+0.9, 500 iterations and the default PenaltySpec of its engine.
+
+- Timed runs: `--repeats` runs of `hio-tv` (binary phantom, pattern seed 1)
+  and of `hio-huber` (gray phantom, pattern seed 0), run seed 0, per side.
+  The time is the wall time of `run_hio` alone; min and median are reported.
+- Huber pool: `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each
+  run gives its twin flag, its phase RMSE against the truth and its final
+  penalty over the truth's (both from `retrieval.penalty_value`).
+
+Each run also records the SHA-256 of its final field, so a change that
+should not move a bit can be checked run by run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
+POOL = [(pattern, run) for pattern in range(4) for run in range(5)]
+
+
+def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> dict:
+    """One 500-iteration run with the sparsepr on sys.path (child process)."""
+    import numpy as np
+
+    import sparsepr as sp
+    from sparsepr.retrieval import penalty_value
+
+    spec = sp.PhantomSpec(image_size=128, support_size=60, kind=phantom_kind,
+                          pattern_seed=pattern_seed)
+    truth = sp.phantom(spec)
+    magnitude = sp.magnitude_of(sp.forward_transform(truth))
+    mask = sp.make_support(128, 60)
+    penalty = sp.PenaltySpec(kind=kind)
+    config = sp.RetrievalConfig(beta=0.9, n_iterations=500, seed=run_seed, penalty=penalty)
+    start = time.perf_counter()
+    report = sp.run_hio(magnitude, mask, config)
+    seconds = time.perf_counter() - start
+    final = report.final_field
+    return {
+        "seconds": seconds,
+        "twin_present": bool(sp.twin_correlations(final, truth, mask).twin_present),
+        "phase_rmse": float(sp.phase_rmse(final, truth, mask)),
+        "penalty_over_truth": penalty_value(final, mask, penalty) / penalty_value(truth, mask, penalty),
+        "final_field_sha256": hashlib.sha256(np.ascontiguousarray(final).tobytes()).hexdigest(),
+    }
+
+
+def spawn(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
+    """run_once in a fresh process that imports sparsepr from `tree`."""
+    kind, phantom_kind, _ = ENGINES[engine]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, __file__, "--run", kind, phantom_kind,
+                          str(pattern_seed), str(run_seed)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def numpy_version(tree: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                          env=env, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def pool_summary(runs: list[dict]) -> dict:
+    rmse = [r["phase_rmse"] for r in runs]
+    return {
+        "twins": sum(r["twin_present"] for r in runs),
+        "runs": len(runs),
+        "mean_phase_rmse": statistics.fmean(rmse),
+        "median_phase_rmse": statistics.median(rmse),
+        "mean_penalty_over_truth": statistics.fmean(r["penalty_over_truth"] for r in runs),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    timed = {side: {engine: [] for engine in ENGINES} for side in trees}
+    for k in range(args.repeats):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for engine, (_, _, pattern_seed) in ENGINES.items():
+            for side in order:
+                timed[side][engine].append(spawn(trees[side], engine, pattern_seed, 0))
+    pool = {side: [] for side in trees}
+    for k, (pattern_seed, run_seed) in enumerate(POOL):
+        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+            run = spawn(trees[side], "hio-huber", pattern_seed, run_seed)
+            pool[side].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
+
+    def times(runs):
+        seconds = [r["seconds"] for r in runs]
+        return {"min_s": min(seconds), "median_s": statistics.median(seconds), "runs_s": seconds,
+                "final_field_sha256": sorted({r["final_field_sha256"] for r in runs})}
+
+    result = {
+        "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": {side: numpy_version(tree) for side, tree in trees.items()}},
+        "method": __doc__.split("\n\n", 2)[2].strip(),
+        "whole_runs_500_iterations": {side: {engine: times(runs) for engine, runs in by.items()}
+                                      for side, by in timed.items()},
+        "huber_pool": {side: {"summary": pool_summary(runs), "runs": runs}
+                       for side, runs in pool.items()},
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run"]:
+        kind, phantom_kind, pattern_seed, run_seed = sys.argv[2:]
+        print(json.dumps(run_once(kind, phantom_kind, int(pattern_seed), int(run_seed))))
+    else:
+        sys.exit(main())

@@ -50,11 +50,11 @@ def impose_magnitude(spectrum, target, *, out=None, modulus=None) -> np.ndarray:
     samples have undefined phase; they are assigned phase 0, i.e. the
     output there is exactly target + 0j.
 
-    A caller that already holds np.abs(spectrum) passes it as `modulus`;
-    it is read, never written.
+    A caller that already holds np.abs(spectrum) passes it as `modulus`, of
+    the spectrum's shape; it is read, never written.
     """
     s = as_complex_field(spectrum)
-    check_same_shape(s, target)
+    check_same_shape(s, target, s if modulus is None else modulus)
     t = as_magnitude(target, "target magnitude")
     mod = np.abs(s) if modulus is None else modulus
     regular = mod.min() >= _SMALLEST_NORMAL and mod.max() < np.inf

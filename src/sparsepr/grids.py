@@ -109,12 +109,6 @@ def check_same_shape(*arrays) -> None:
         raise ValueError(f"shape mismatch: {sorted(shapes)}")
 
 
-def is_centrosymmetric(mask: np.ndarray) -> bool:
-    """True if mask(x, y) == mask(W-1-x, H-1-y) for every pixel."""
-    m = as_mask(mask)
-    return bool(np.array_equal(m, m[::-1, ::-1]))
-
-
 def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int]:
     """Inclusive (x0, y0, x1, y1) bounding box of the true region."""
     m = as_mask(mask)

@@ -4,7 +4,10 @@ Total variation of a complex image is the L1 norm of its gradient
 magnitude, sum_i sqrt(|dx g_i|^2 + |dy g_i|^2). The Huber-style
 alternative, sum_i [sqrt(1 + |grad g_i|^2 / delta^2) - 1], behaves like
 TV/delta for gradients much larger than delta and like a quadratic
-smoothness penalty below it.
+smoothness penalty below it. Both rest on one smoothed modulus
+r_i = sqrt(|grad g_i|^2 + s^2): TV is sum_i r_i at s = 0, the smoothed TV
+of the descent takes s = eps, and Huber is sum_i r_i / delta - n over the
+n pixels at s = delta.
 
 Discretization: forward differences with replicate (Neumann) boundaries,
 so the last column of dx and last row of dy are zero. The divergence is
@@ -13,8 +16,8 @@ gradients pass finite-difference checks to machine-level accuracy.
 
 A function that takes a keyword `out` writes there what it would
 otherwise allocate and returns it, with the same bits; `out` must not
-overlap an input. A penalty value's `out` receives the per-pixel terms
-it sums.
+overlap an input. A penalty value's `out` receives the smoothed modulus
+r it sums.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class PenaltySpec:
         else:
             check_number("fixed delta", self.delta_rule)
             delta = float(self.delta_rule)
-            # Every Huber term divides by delta**2: a zero or subnormal square makes it inf.
+            # Huber divides by delta * r >= delta**2: a zero or subnormal square makes it inf.
             if not (delta > 0 and delta * delta >= np.finfo(float).tiny):
                 raise SettingError(f"fixed delta must be > 0 with a normal square, got {delta!r}")
             object.__setattr__(self, "delta_rule", delta)
@@ -205,6 +208,15 @@ def _region_sum(values, submask) -> float:
     return float(np.add.reduce(values.ravel() if submask is None else values[submask]))
 
 
+def _smoothed_modulus(mag_sq, s, out=None) -> np.ndarray:
+    """r = sqrt(mag_sq + s**2), the per-pixel modulus every penalty sums.
+
+    At s = 0 it is sqrt(mag_sq) bit for bit, since mag_sq >= +0.
+    """
+    r = np.add(mag_sq, s**2, out=out)
+    return np.sqrt(r, out=r)
+
+
 def tv_value(field, region=None) -> float:
     """Total variation over `region` (whole grid if None).
 
@@ -213,26 +225,29 @@ def tv_value(field, region=None) -> float:
     """
     sub, submask = _restrict(field, region)
     mag_sq = gradient_of(sub).mag_sq
-    return _region_sum(np.sqrt(mag_sq, out=mag_sq), submask)
+    return _region_sum(_smoothed_modulus(mag_sq, 0.0, out=mag_sq), submask)
 
 
 def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None, *,
                       out=None) -> float:
-    """TV with the modulus smoothed to sqrt(|grad|^2 + eps^2).
+    """TV with the modulus smoothed to r = sqrt(|grad|^2 + eps^2), eps > 0.
 
     This is the exact antiderivative of `tv_gradient`, used by the line
     search and the finite-difference gradient checks. Its per-pixel terms
-    are the `scale` that tv_gradient takes.
+    r are the `scale` that tv_gradient takes.
     """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be > 0")
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    smoothed = np.add(grad.mag_sq, epsilon**2, out=out)
-    return _region_sum(np.sqrt(smoothed, out=smoothed), submask)
+    return _region_sum(_smoothed_modulus(grad.mag_sq, epsilon, out), submask)
 
 
-def _divided_divergence(grad: Gradient, scale, out) -> np.ndarray:
-    """discrete_divergence(gx / scale, gy / scale) for a positive real `scale`.
+def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> np.ndarray:
+    """-discrete_divergence(gx / scale, gy / scale), scale = weight * r (r if
+    weight is None): the gradient of sum(r) / weight, with r the smoothed
+    modulus at `s` unless the caller passes it.
 
     numpy's complex quotient by c + 0j is (a + b*0) * (1/c) part by part, so
     one reciprocal and two real products give its bits up to the sign of a
@@ -240,6 +255,11 @@ def _divided_divergence(grad: Gradient, scale, out) -> np.ndarray:
     quotients are new contiguous arrays, so they skip its checks; a
     strided `out` receives a copy of the kernel's result.
     """
+    if grad is None:
+        grad = gradient_of(field)
+    if r is None:
+        r = _smoothed_modulus(grad.mag_sq, s)
+    scale = r if weight is None else np.multiply(r, weight)
     if not np.iscomplexobj(grad.gx):
         parts = [np.divide(g, scale, order="C") for g in grad[:2]]
     else:
@@ -249,66 +269,52 @@ def _divided_divergence(grad: Gradient, scale, out) -> np.ndarray:
             np.multiply(g.real, inv, out=part.real)
             np.multiply(g.imag, inv, out=part.imag)
     if out is None or out.flags.c_contiguous:
-        return _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
-    np.copyto(out, _divergence_into(*parts, np.empty_like(parts[0])))
-    return out
+        out = _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
+    else:
+        np.copyto(out, _divergence_into(*parts, np.empty_like(parts[0])))
+    return np.negative(out, out=out)
 
 
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
                 out=None) -> np.ndarray:
     """Functional gradient of the smoothed TV: -div(grad f / sqrt(|grad f|^2 + eps^2)).
 
-    A caller holding sqrt(|grad f|^2 + eps^2) of this gradient, as
+    A caller holding r = sqrt(|grad f|^2 + eps^2) of this gradient, as
     smoothed_tv_value's `out` leaves it, passes it as `scale`.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    if grad is None:
-        grad = gradient_of(field)
-    if scale is None:
-        scale = np.sqrt(grad.mag_sq + epsilon**2)
-    out = _divided_divergence(grad, scale, out)
-    return np.negative(out, out=out)
-
-
-def _huber_scale(mag_sq, delta, out=None) -> np.ndarray:
-    """sqrt(mag_sq / delta**2 + 1), Huber's per-pixel scale, in one operation order."""
-    scale = np.divide(mag_sq, delta**2, out=out)
-    scale += 1.0
-    return np.sqrt(scale, out=scale)
+    return _modulus_gradient(field, epsilon, grad, scale, out)
 
 
 def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
                 out=None) -> float:
-    """Huber-style penalty sum of sqrt(1 + |grad g|^2/delta^2) - 1 over `region`."""
+    """Huber-style penalty sum of sqrt(1 + |grad g|^2/delta^2) - 1 over `region`,
+    computed as sum(r) / delta - n with r = sqrt(|grad g|^2 + delta^2) over its
+    n pixels: smoothed TV at eps = delta, rescaled. `out` receives r.
+    """
     if not delta > 0:
         raise ValueError("delta must be > 0")
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
-    per_pixel = _huber_scale(grad.mag_sq, delta, out)
-    per_pixel -= 1.0
-    return _region_sum(per_pixel, submask)
+    r = _smoothed_modulus(grad.mag_sq, delta, out)
+    n = r.size if submask is None else np.count_nonzero(submask)
+    return float(_region_sum(r, submask) / delta - n)
 
 
 def huber_gradient(field, delta, grad: Gradient | None = None, *, scale=None,
                    out=None) -> np.ndarray:
-    """Functional gradient of the Huber penalty.
+    """Functional gradient of the Huber penalty: -div(grad f / (delta * r)).
 
-    -(1/delta^2) div(grad f / sqrt(1 + |grad f|^2/delta^2)); the
-    denominator is >= 1 so no extra smoothing is needed. A caller holding it
-    as sqrt(mag_sq / delta**2 + 1), in huber_value's order, passes it as `scale`.
+    With r = sqrt(|grad f|^2 + delta^2) this is the textbook
+    -(1/delta^2) div(grad f / sqrt(1 + |grad f|^2/delta^2)); delta * r >=
+    delta^2 > 0, so no extra smoothing is needed. A caller holding r of this
+    gradient, as huber_value's `out` leaves it, passes it as `scale`.
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
-    if grad is None:
-        grad = gradient_of(field)
-    if scale is None:
-        scale = _huber_scale(grad.mag_sq, delta)
-    out = _divided_divergence(grad, scale, out)
-    np.negative(out, out=out)
-    out /= delta**2
-    return out
+    return _modulus_gradient(field, delta, grad, scale, out, weight=delta)
 
 
 def select_delta(field, region=None, grad: Gradient | None = None) -> float:
@@ -385,15 +391,16 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
 
     Work happens on the region's bounding-box window (`region` is a mask
     or a SupportWindow); only pixels where the mask is true are updated,
-    everything else is returned unchanged bit-for-bit. For the Huber
-    penalty, delta is recomputed from the current iterate at every step.
+    everything else is returned unchanged bit-for-bit.
 
-    A step calls tv_gradient (or select_delta and huber_gradient), then
-    backtracking_step with the gradient, -0 outside the support, and the
-    penalty's value function. The accepted trial is the next iterate: its
-    Gradient and, for TV, its penalty value and smoothed modulus are the next
-    step's `grad`, `p0` and `scale`; for Huber one _huber_scale makes `scale`
-    and, less 1, the terms of `p0`. An all-support window is region None.
+    Both kinds take one step body at smoothing s: eps * max|g| for TV, the
+    fixed delta, or select_delta's median of the current iterate at every
+    step. A step calls the kind's gradient function, then backtracking_step
+    with the gradient, -0 outside the support, and the kind's value function.
+    The accepted trial is the next iterate: its Gradient, penalty value and
+    smoothed modulus r are the next step's `grad`, `p0` and `scale`, except
+    that after select_delta the value function recomputes r and `p0` at the
+    new delta. An all-support window is region None.
 
     The window-sized arrays the steps write come from `work`, so a caller
     that passes the same Workspace to every call allocates them once.
@@ -412,11 +419,13 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     outside = None if inside is None else ~inside
     # The window's own window, or None if all support: penalty calls crop nothing.
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
-    tv = spec.kind == "tv"
-    if tv:
-        eps = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
-    elif spec.delta_rule != "median":
-        delta = spec.delta_rule
+    if spec.kind == "tv":
+        value, gradient_fn = smoothed_tv_value, tv_gradient
+        s = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+    else:
+        value, gradient_fn = huber_value, huber_gradient
+        s = spec.delta_rule
+    median = s == "median"
 
     if work is None:
         work = Workspace()
@@ -435,36 +444,29 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     last = None
 
     def penalty(g) -> float:
-        """Penalty of a line-search trial. Its Gradient and per-pixel values
+        """Penalty of a line-search trial. Its Gradient and smoothed modulus
         overwrite `grad` and `per_pixel`, which the step no longer reads."""
         nonlocal last
         gradient_of(g, out=grad)
-        if tv:
-            last = smoothed_tv_value(g, eps, local, grad, out=per_pixel)
-        else:
-            last = huber_value(g, delta, local, grad, out=per_pixel)
+        last = value(g, s, local, grad, out=per_pixel)
         return last
 
     # Left to numpy's warning, an overflow such as an infinite ||d||^2 would
     # turn every step into t = 0 and the run would go on as if it converged.
     with np.errstate(over="raise"):
-        p0 = smoothed_tv_value(sub, eps, local, grad, out=per_pixel) if tv else None
+        p0 = None if median else value(sub, s, local, grad, out=per_pixel)
         for _ in range(spec.n_inner_steps):
-            if tv:
-                tv_gradient(sub, eps, grad, scale=per_pixel, out=gradient)
-            else:
-                if spec.delta_rule == "median":
-                    delta = select_delta(sub, local, grad)
-                huber_gradient(sub, delta, grad, scale=_huber_scale(grad.mag_sq, delta, per_pixel),
-                               out=gradient)
-                p0 = _region_sum(np.subtract(per_pixel, 1.0, out=per_pixel), inside)
+            if median:
+                s = select_delta(sub, local, grad)
+                p0 = value(sub, s, local, grad, out=per_pixel)
+            gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)
             if outside is not None:
                 np.copyto(gradient, -dtype.type(0), where=outside)  # see backtracking_step
             if not gradient.any() or backtracking_step(sub, gradient, penalty, spec, p0=p0,
                                                        out=trial) == 0.0:
                 break
             # t > 0: the last penalty call was on the accepted trial, now in
-            # `trial`, and left its Gradient in `grad` and, for TV, its smoothed
+            # `trial`, and left its Gradient in `grad` and its smoothed
             # modulus in `per_pixel`.
             sub, p0 = trial, last
             trial, spare = spare, trial

@@ -20,7 +20,8 @@ from sparsepr.experiment import (
     triangular_truncation,
     twin_correlations,
 )
-from sparsepr.grids import SettingError, is_centrosymmetric
+from sparsepr.grids import SettingError
+from test_grids import is_centrosymmetric
 from sparsepr.retrieval import RunReport
 from sparsepr.sparsity import discrete_gradient
 

@@ -139,6 +139,15 @@ def test_impose_magnitude_shape_mismatch():
         impose_magnitude(random_field((4, 4), 0), np.ones((4, 5)))
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (4, 5), (16,), (1, 4, 4)])
+def test_impose_magnitude_refuses_a_modulus_of_another_shape(shape):
+    # a (1, 4) modulus used to broadcast over the 4x4 spectrum
+    s = random_field((4, 4), 0)
+    modulus = np.abs(s)[:1] if shape == (1, 4) else np.ones(shape)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        impose_magnitude(s, np.ones((4, 4)), modulus=modulus)
+
+
 def test_impose_magnitude_refuses_complex_target():
     # the float64 cast used to drop the imaginary part: 1j*t gave all zeros
     with warnings.catch_warnings():

@@ -10,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 import sparsepr
 from sparsepr.grids import (SettingError, Workspace, as_complex_field, as_magnitude, as_mask,
-                            bounding_box, check_number, is_centrosymmetric, l2_norm)
+                            bounding_box, check_number, l2_norm)
+
+
+def is_centrosymmetric(mask) -> bool:
+    """True if mask(x, y) == mask(W-1-x, H-1-y) for every pixel of a valid mask."""
+    m = as_mask(mask)
+    return bool(np.array_equal(m, m[::-1, ::-1]))
 
 
 def test_rejects_nan():

@@ -135,6 +135,79 @@ def test_huber_asymptotics():
     assert abs(small / (1e-6 / 2) - 1) < 1e-4
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+def test_smoothed_tv_refuses_an_epsilon_not_above_zero(epsilon):
+    # NaN used to give a NaN value, and -1 the value at +1
+    f = random_field((5, 5), 1)
+    for penalty in (smoothed_tv_value, tv_gradient):
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            penalty(f, epsilon)
+
+
+@st.composite
+def huber_cases(draw):
+    """A real or complex field, a delta from 1e-3 to 1e3 times its RMS
+    gradient modulus, and a full or ragged mask."""
+    h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = draw(st.sampled_from([1e-3, 1.0, 1e3])) * (
+        rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)))
+    if draw(st.booleans()):
+        field = field.real.copy()
+    if draw(st.booleans()):
+        field[: draw(st.integers(0, h - 1)), :] = 1.0  # flat rows
+    gx, gy = discrete_gradient(field)
+    scale = float(np.sqrt(np.mean(np.abs(gx) ** 2 + np.abs(gy) ** 2)))
+    delta = scale * 10.0 ** draw(st.floats(-3, 3))
+    mask = np.ones((h, w), dtype=bool)
+    if draw(st.booleans()):
+        mask = rng.random((h, w)) < draw(st.floats(0.2, 0.9))
+        mask[rng.integers(h), rng.integers(w)] = True
+    return field, delta, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(huber_cases())
+def test_huber_matches_its_textbook_form(case):
+    """huber_value and huber_gradient against sum[sqrt(1 + |grad|^2/delta^2) - 1]
+    and -(1/delta^2) div(grad / sqrt(1 + |grad|^2/delta^2)).
+
+    The tolerance is 32 ulp of the sum before cancellation. Both value forms
+    round terms of size sqrt(1 + |grad|^2/delta^2) >= 1 and subtract 1 per
+    pixel, so either is off by a few ulp of sum sqrt(1 + |grad|^2/delta^2)
+    (pairwise summation of at most 81 terms adds < 7 ulp); where delta >>
+    |grad| that is far more than the value itself, and only such an absolute
+    bound holds. Likewise each gradient sample sums four quotients of a few
+    ulp each, so it is held to 32 ulp of the sum of their moduli.
+    """
+    field, delta, mask = case
+    ulp = np.finfo(np.float64).eps
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    win = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    for region in (mask, None):
+        sub, pick = (field[win], mask[win]) if region is not None else (field, slice(None))
+        gx, gy = discrete_gradient(sub)
+        root = np.sqrt(1.0 + (np.abs(gx) ** 2 + np.abs(gy) ** 2) / delta**2)[pick]
+        textbook = float(np.sum(root - 1.0))
+        assert abs(huber_value(field, delta, region) - textbook) <= 32 * ulp * np.sum(root)
+    gx, gy = discrete_gradient(field)
+    root = np.sqrt(1.0 + (np.abs(gx) ** 2 + np.abs(gy) ** 2) / delta**2)
+    textbook = -discrete_divergence(gx / root, gy / root) / delta**2
+    moduli = _divergence_of_moduli(np.abs(gx) / root, np.abs(gy) / root) / delta**2
+    assert np.all(np.abs(huber_gradient(field, delta) - textbook) <= 32 * ulp * moduli)
+
+
+def _divergence_of_moduli(px, py):
+    """Per sample, the sum of the moduli of the terms discrete_divergence adds."""
+    out = np.zeros(px.shape)
+    out[:, :-1] += px[:, :-1]
+    out[:, 1:] += px[:, :-1]
+    out[:-1, :] += py[:-1, :]
+    out[1:, :] += py[:-1, :]
+    return out
+
+
 # ------------------------------------------------------------ gradients
 
 @pytest.mark.parametrize("direction_seed", range(20))
@@ -726,16 +799,15 @@ def _quotient_tv_gradient(f, epsilon):
 
 
 def _quotient_huber_gradient(f, delta):
-    """huber_gradient as first written: a complex quotient by the real scale."""
+    """huber_gradient as a complex quotient by the real scale delta * r,
+    r = sqrt(|grad f|^2 + delta^2)."""
     grad = gradient_of(f)
-    scale = np.sqrt(grad.mag_sq / delta**2 + 1.0)
-    out = np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
-    out /= delta**2
-    return out
+    scale = delta * np.sqrt(grad.mag_sq + delta**2)
+    return np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
 
 
 # (field scale, epsilon or delta): tiny and huge scales, none of whose
-# squared gradients or 1/delta**2 factors overflow
+# squared gradients or delta * r overflow, nor delta**2 turn subnormal
 GRADIENT_SCALES = [(1.0, 1e-150), (1.0, 1e-8), (1.0, 1.0), (1.0, 1e150),
                    (1e-150, 1e-150), (1e150, 1e150), (1e-100, 1.0)]
 
@@ -746,18 +818,16 @@ def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, rea
     size, param = scales
     f = f.real * size if real else f * size
     grad = gradient_of(f)
-    tv_scale = np.sqrt(grad.mag_sq + param**2)
-    huber_scale = np.sqrt(grad.mag_sq / param**2 + 1.0)
-    for gradient, oracle, kwargs in ((tv_gradient, _quotient_tv_gradient, {"scale": tv_scale}),
-                                     (huber_gradient, _quotient_huber_gradient,
-                                      {"scale": huber_scale})):
+    r = np.sqrt(grad.mag_sq + param**2)  # the scale both kinds take
+    for gradient, oracle in ((tv_gradient, _quotient_tv_gradient),
+                             (huber_gradient, _quotient_huber_gradient)):
         expected = oracle(f, param)
         got = gradient(f, param)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         fortran = Gradient(*map(np.asfortranarray, grad))
         assert gradient(f, param, fortran).tobytes() == expected.tobytes()
         for out in (np.empty_like(f), *_strided_outs(f.shape, f.dtype)):
-            assert gradient(f, param, grad, out=out, **kwargs) is out
+            assert gradient(f, param, grad, scale=r, out=out) is out
             assert out.tobytes() == expected.tobytes()
 
 
@@ -792,15 +862,17 @@ def test_penalty_values_into_out_are_byte_equal(ragged):
     grad = gradient_of(f)
     before = [a.tobytes() for a in (f, *grad)]
     smoothed = np.sqrt(grad.mag_sq + 1e-3**2)
-    huber = np.sqrt(1.0 + grad.mag_sq / 0.4**2) - 1.0
+    huber_r = np.sqrt(grad.mag_sq + 0.4**2)
     # a strided `out` too, which must not change the summation order
     for out in (np.empty(f.shape), np.empty((f.shape[0], 2 * f.shape[1]))[:, ::2]):
         value = smoothed_tv_value(f, 1e-3, region, grad, out=out)
         assert out.tobytes() == smoothed.tobytes()
         assert value == smoothed_tv_value(f, 1e-3, region) == float(np.sum(smoothed[pick]))
         value = huber_value(f, 0.4, region, grad, out=out)
-        assert out.tobytes() == huber.tobytes()
-        assert value == huber_value(f, 0.4, region) == float(np.sum(huber[pick]))
+        assert out.tobytes() == huber_r.tobytes()
+        expected = float(np.sum(huber_r[pick])) / 0.4 - np.count_nonzero(pick)
+        assert type(value) is float
+        assert value == huber_value(f, 0.4, region) == expected
     assert tv_value(f, region) == float(np.sum(np.sqrt(grad.mag_sq)[pick]))
     assert [a.tobytes() for a in (f, *grad)] == before
 
@@ -874,31 +946,41 @@ def test_private_stencils_match_the_public_ones_bit_for_bit(f, p, real):
 @pytest.mark.parametrize("delta_rule", ["median", 0.7])
 @pytest.mark.parametrize("ragged", [False, True])
 def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, delta_rule, ragged):
-    """The descent takes each Huber step's p0 from huber_gradient's scale,
-    not from huber_value; it must be huber_value's number all the same."""
+    """A fixed-delta Huber step carries its p0 and r over from the accepted
+    trial; a median step recomputes them after select_delta. Either way p0
+    is huber_value's float of the step's iterate and delta, and the scale
+    huber_gradient gets is sqrt(|grad|^2 + delta^2) of that iterate."""
     f = _step_edge_with_noise(n=12, seed=65)
     mask = np.ones(f.shape, dtype=bool)
     mask[0, :3] = not ragged
-    deltas, steps = [], []
-    select, step = sparsity.select_delta, sparsity.backtracking_step
+    deltas, scales, steps = [], [], []
+    select, gradient, step = (sparsity.select_delta, sparsity.huber_gradient,
+                              sparsity.backtracking_step)
 
     def selecting(*args):
         deltas.append(select(*args))
         return deltas[-1]
+
+    def differentiating(field, delta, grad=None, *, scale=None, out=None):
+        scales.append(scale.copy())
+        return gradient(field, delta, grad, scale=scale, out=out)
 
     def stepping(field, gradient, penalty, spec, p0=None, *, out=None):
         steps.append((field.copy(), p0))
         return step(field, gradient, penalty, spec, p0, out=out)
 
     monkeypatch.setattr(sparsity, "select_delta", selecting)
+    monkeypatch.setattr(sparsity, "huber_gradient", differentiating)
     monkeypatch.setattr(sparsity, "backtracking_step", stepping)
     sparsity_descent(f, mask, PenaltySpec(kind="huber", n_inner_steps=5, delta_rule=delta_rule))
-    assert len(steps) == 5 and len(deltas) == (5 if delta_rule == "median" else 0)
+    assert len(steps) == len(scales) == 5
+    assert len(deltas) == (5 if delta_rule == "median" else 0)
     submask = support_window(mask).mask
-    for i, (sub, p0) in enumerate(steps):
+    for i, ((sub, p0), scale) in enumerate(zip(steps, scales)):
         delta = deltas[i] if delta_rule == "median" else delta_rule
         assert type(p0) is float
         assert np.float64(p0).tobytes() == np.float64(huber_value(sub, delta, submask)).tobytes()
+        assert scale.tobytes() == np.sqrt(gradient_of(sub).mag_sq + delta**2).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
