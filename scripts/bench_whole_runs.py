@@ -1,4 +1,4 @@
-"""Whole 500-iteration runs and the Huber quality pool, for two source trees.
+"""Whole 500-iteration runs, quality pools and Tier-1 time, for two source trees.
 
     python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
         --repeats 5 --out BENCH_whole_runs.json
@@ -14,9 +14,15 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
 - Timed runs: `--repeats` runs of `hio-tv` (binary phantom, pattern seed 1)
   and of `hio-huber` (gray phantom, pattern seed 0), run seed 0, per side.
   The time is the wall time of `run_hio` alone; min and median are reported.
-- Huber pool: `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each
-  run gives its twin flag, its phase RMSE against the truth and its final
-  penalty over the truth's (both from `retrieval.penalty_value`).
+- Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
+  and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each run
+  gives its twin flag, its phase RMSE against the truth and its final
+  penalty over the truth's (both from `retrieval.penalty_value`). A run is
+  recovered when it has no twin and a phase RMSE under its pool's
+  tolerance: 0.01 rad for `hio-tv`, 0.15 rad for `hio-huber`, the
+  benchmark's tolerances for these engines.
+- Tier-1: one run of the tree's whole pytest suite per side, from the
+  tree's root; its wall time and pytest's summary line.
 
 Each run also records the SHA-256 of its final field, so a change that
 should not move a bit can be checked run by run.
@@ -35,8 +41,10 @@ import sys
 import time
 from pathlib import Path
 
+# engine -> (penalty kind, phantom kind, pattern seed of the timed runs)
 ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
-POOL = [(pattern, run) for pattern in range(4) for run in range(5)]
+# engine -> (pattern seeds, run seeds, phase RMSE tolerance of a recovered run)
+POOLS = {"hio-tv": (range(1, 5), range(10), 0.01), "hio-huber": (range(4), range(5), 0.15)}
 
 
 def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> dict:
@@ -76,16 +84,28 @@ def spawn(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
     return json.loads(out)
 
 
+def tier1(tree: Path) -> dict:
+    """Wall time and summary line of the tree's whole pytest suite."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    return {"seconds": time.perf_counter() - start, "exit_code": done.returncode,
+            "summary": done.stdout.strip().splitlines()[-1]}
+
+
 def numpy_version(tree: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                           env=env, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def pool_summary(runs: list[dict]) -> dict:
+def pool_summary(runs: list[dict], tolerance: float) -> dict:
     rmse = [r["phase_rmse"] for r in runs]
     return {
         "twins": sum(r["twin_present"] for r in runs),
+        "recovered": sum(not r["twin_present"] and r["phase_rmse"] < tolerance for r in runs),
         "runs": len(runs),
         "mean_phase_rmse": statistics.fmean(rmse),
         "median_phase_rmse": statistics.median(rmse),
@@ -108,11 +128,14 @@ def main(argv=None) -> int:
         for engine, (_, _, pattern_seed) in ENGINES.items():
             for side in order:
                 timed[side][engine].append(spawn(trees[side], engine, pattern_seed, 0))
-    pool = {side: [] for side in trees}
-    for k, (pattern_seed, run_seed) in enumerate(POOL):
-        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-            run = spawn(trees[side], "hio-huber", pattern_seed, run_seed)
-            pool[side].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
+    pools = {side: {engine: [] for engine in POOLS} for side in trees}
+    for engine, (pattern_seeds, run_seeds, _) in POOLS.items():
+        cases = [(pattern, run) for pattern in pattern_seeds for run in run_seeds]
+        for k, (pattern_seed, run_seed) in enumerate(cases):
+            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+                run = spawn(trees[side], engine, pattern_seed, run_seed)
+                pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
+    suites = {side: tier1(tree) for side, tree in trees.items()}
 
     def times(runs):
         seconds = [r["seconds"] for r in runs]
@@ -125,8 +148,15 @@ def main(argv=None) -> int:
         "method": __doc__.split("\n\n", 2)[2].strip(),
         "whole_runs_500_iterations": {side: {engine: times(runs) for engine, runs in by.items()}
                                       for side, by in timed.items()},
-        "huber_pool": {side: {"summary": pool_summary(runs), "runs": runs}
-                       for side, runs in pool.items()},
+        "quality_pools": {side: {engine: {"summary": pool_summary(runs, POOLS[engine][2]),
+                                          "runs": runs}
+                                 for engine, runs in by.items()}
+                          for side, by in pools.items()},
+        "pool_runs_with_equal_final_fields": {
+            engine: sum(a["final_field_sha256"] == b["final_field_sha256"]
+                        for a, b in zip(pools["parent"][engine], pools["change"][engine]))
+            for engine in POOLS},
+        "tier1": suites,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -120,9 +120,7 @@ ALGORITHMS = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}
 # `retrieve` flag's destination and a key of a sweep's "retrieval" object.
 PENALTY_SETTINGS = {
     "n_inner_steps": "n_inner_steps",
-    "epsilon": "epsilon",
     "delta": "delta_rule",
-    "t_init": "t_init",
 }
 
 
@@ -348,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=retrieval.RetrievalConfig.beta)
     p.add_argument("--ntv", dest="n_inner_steps", type=int, default=None,
                    help="descent steps per iteration")
-    p.add_argument("--eps", dest="epsilon", type=float, default=None,
-                   help="TV smoothing, relative to the field's max modulus")
     p.add_argument("--delta", default=None, help="'median' or a fixed value")
-    p.add_argument("--tinit", dest="t_init", type=float, default=None,
-                   help="line-search initial trial step")
     p.add_argument("--seed", type=int, default=retrieval.RetrievalConfig.seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_retrieve)

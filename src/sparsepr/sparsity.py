@@ -29,10 +29,18 @@ import numpy as np
 
 from .grids import SettingError, Workspace, as_mask, bounding_box, check_number, check_same_shape
 
-# Relative floor applied when scaling the TV smoothing epsilon.
+# The descent's TV smoothing is EPSILON times the field's max modulus,
+# and never below EPSILON_FLOOR.
+EPSILON = 1e-8
 EPSILON_FLOOR = 1e-12
-# Armijo line search: sufficient-decrease fraction, step shrink factor
-# and the number of shrinks tried before giving up.
+# Armijo line search: the first trial step (before its 1/max(1, max|g|)
+# rescaling), sufficient-decrease fraction, step shrink factor and the
+# number of shrinks tried before giving up. T_INIT is deliberately small:
+# the descent block runs every outer iteration, so a gentle nudge per step
+# regularizes without flattening genuine edges, while large trial steps let
+# the line search accept moves that crush the penalty below that of the
+# true object and stall the Fourier-magnitude fit.
+T_INIT = 0.02
 LS_ALPHA = 0.3
 LS_SHRINK = 0.5
 MAX_BACKTRACK_STEPS = 60
@@ -44,45 +52,36 @@ class PenaltySpec:
 
     kind: "none", "tv" or "huber".
     n_inner_steps: gradient-descent steps per outer iteration.
-    epsilon: TV smoothing, relative to the field's max modulus.
     delta_rule: "median" (recomputed each descent step) or a fixed real
-        number (not a bool), stored as a float.
-    t_init: the line search's first trial step (see backtracking_step).
+        number (not a bool) whose square is normal and finite, stored as
+        a float.
 
-    The default t_init is deliberately small. Inside the retrieval loop
-    the descent block runs every outer iteration, so a gentle nudge per
-    step regularizes without flattening genuine edges; large trial steps
-    let the line search accept moves that crush the penalty below that
-    of the true object and stall the Fourier-magnitude fit.
+    The descent's numerical constants are module constants: EPSILON and
+    EPSILON_FLOOR for the TV smoothing, T_INIT, LS_ALPHA, LS_SHRINK and
+    MAX_BACKTRACK_STEPS for the line search.
     """
 
     kind: str = "none"
     n_inner_steps: int = 30
-    epsilon: float = 1e-8
     delta_rule: str | float = "median"
-    t_init: float = 0.02
 
     def __post_init__(self):
         if self.kind not in ("none", "tv", "huber"):
             raise SettingError(f"unknown penalty kind {self.kind!r}")
         check_number("n_inner_steps", self.n_inner_steps, integer=True)
-        check_number("epsilon", self.epsilon)
-        check_number("t_init", self.t_init)
         if self.n_inner_steps < 0:
             raise SettingError("n_inner_steps must be >= 0")
-        if not self.epsilon > 0:
-            raise SettingError("epsilon must be > 0")
-        if not self.t_init > 0:
-            raise SettingError("t_init must be > 0")
         if isinstance(self.delta_rule, str):
             if self.delta_rule != "median":
                 raise SettingError(f"unknown delta rule {self.delta_rule!r}")
         else:
             check_number("fixed delta", self.delta_rule)
             delta = float(self.delta_rule)
-            # Huber divides by delta * r >= delta**2: a zero or subnormal square makes it inf.
-            if not (delta > 0 and delta * delta >= np.finfo(float).tiny):
-                raise SettingError(f"fixed delta must be > 0 with a normal square, got {delta!r}")
+            # Huber divides by delta * r >= delta**2 and adds delta**2: a zero or
+            # subnormal square makes the quotient inf, an infinite one overflows.
+            if not (delta > 0 and np.finfo(float).tiny <= delta * delta < np.inf):
+                raise SettingError(
+                    f"fixed delta must be > 0 with a finite, normal square, got {delta!r}")
             object.__setattr__(self, "delta_rule", delta)
 
 
@@ -348,13 +347,12 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     return 1e-6 * (peak if peak > 0 else 1.0)
 
 
-def backtracking_step(field, gradient, penalty, spec: PenaltySpec, p0=None, *,
-                      out=None) -> float:
+def backtracking_step(field, gradient, penalty, p0=None, *, out=None) -> float:
     """Armijo backtracking along minus `gradient`, the penalty's gradient.
 
-    Tries t = t0 * LS_SHRINK^k for k = 0..60, where t0 is t_init rescaled
-    by 1/max(1, max|gradient|) to keep the first trial comparable across
-    image scales. Returns the first t with
+    Tries t = t0 * LS_SHRINK^k for k = 0..MAX_BACKTRACK_STEPS, where t0 is
+    T_INIT rescaled by 1/max(1, max|gradient|) to keep the first trial
+    comparable across image scales. Returns the first t with
     penalty(field - t*g) <= penalty(field) - LS_ALPHA * t * ||g||^2,
     or 0.0 if none qualifies (no progress possible at this resolution).
     A caller that already knows penalty(field) passes it as `p0`, which
@@ -376,7 +374,7 @@ def backtracking_step(field, gradient, penalty, spec: PenaltySpec, p0=None, *,
     g_sq = float(np.add.reduce(np.square(g_abs, out=g_abs), axis=None))
     if p0 is None:
         p0 = penalty(field)
-    t = spec.t_init / max(1.0, g_max)
+    t = T_INIT / max(1.0, g_max)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
         trial = np.add(field, np.multiply(-scalar(t), g, out=out), out=out)
         if penalty(trial) <= p0 - LS_ALPHA * t * g_sq:
@@ -393,7 +391,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     or a SupportWindow); only pixels where the mask is true are updated,
     everything else is returned unchanged bit-for-bit.
 
-    Both kinds take one step body at smoothing s: eps * max|g| for TV, the
+    Both kinds take one step body at smoothing s: EPSILON * max|g| for TV, the
     fixed delta, or select_delta's median of the current iterate at every
     step. A step calls the kind's gradient function, then backtracking_step
     with the gradient, -0 outside the support, and the kind's value function.
@@ -421,7 +419,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     if spec.kind == "tv":
         value, gradient_fn = smoothed_tv_value, tv_gradient
-        s = max(spec.epsilon * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+        s = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
     else:
         value, gradient_fn = huber_value, huber_gradient
         s = spec.delta_rule
@@ -462,7 +460,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
             gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)
             if outside is not None:
                 np.copyto(gradient, -dtype.type(0), where=outside)  # see backtracking_step
-            if not gradient.any() or backtracking_step(sub, gradient, penalty, spec, p0=p0,
+            if not gradient.any() or backtracking_step(sub, gradient, penalty, p0=p0,
                                                        out=trial) == 0.0:
                 break
             # t > 0: the last penalty call was on the accepted trial, now in

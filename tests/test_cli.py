@@ -158,11 +158,11 @@ def test_retrieve_warns_on_ignored_ntv(tmp_path, capsys):
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
                  "--mask", str(tmp_path / "support.prf1"),
-                 "--alg", "hio", "--iters", "2", "--ntv", "5", "--eps", "1e-6",
+                 "--alg", "hio", "--iters", "2", "--ntv", "5", "--delta", "0.5",
                  "--out", str(tmp_path / "warn")])
     assert code == 0
     err = capsys.readouterr().err
-    assert "n_inner_steps ignored" in err and "epsilon ignored" in err
+    assert "n_inner_steps ignored" in err and "delta ignored" in err
 
 
 def test_retrieve_sparse_matches_library(tmp_path):
@@ -223,11 +223,14 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("flags, bad_file, code, message", [
     (["--iters", "0"], None, EXIT_USAGE, "n_iterations must be >= 1"),
     (["--alg", "hio-huber", "--delta", "1e-300"], None, EXIT_USAGE, "normal square"),
+    (["--alg", "hio-huber", "--delta", "1e300"], None, EXIT_USAGE, "normal square"),
+    (["--alg", "hio-tv", "--eps", "1e-6"], None, EXIT_USAGE, "unrecognized arguments: --eps"),
+    (["--alg", "hio-tv", "--tinit", "0.1"], None, EXIT_USAGE, "unrecognized arguments: --tinit"),
     ([], "mask", EXIT_DATA, "mask has no true pixels"),
     ([], "magnitude", EXIT_DATA, "magnitude data must be nonnegative and finite"),
     ([], "complex-magnitude", EXIT_DATA, "magnitude data must be real"),
-], ids=["bad-setting", "bad-penalty-setting", "all-false-mask", "negative-magnitude",
-        "complex-magnitude"])
+], ids=["bad-setting", "bad-penalty-setting", "overflowing-delta", "removed-eps",
+        "removed-tinit", "all-false-mask", "negative-magnitude", "complex-magnitude"])
 def test_bad_settings_exit_usage_and_bad_data_exits_data(tmp_path, capsys, flags, bad_file,
                                                          code, message):
     # both raise a ValueError; only a SettingError is a usage error
@@ -269,10 +272,17 @@ def test_retrieve_negative_seed_is_usage_error(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("alg, flag, value", [
-    ("hio-tv", "--tinit", "inf"), ("hio-tv", "--eps", "inf"), ("hio-tv", "--eps", "nan"),
-    ("hio-huber", "--delta", "inf"), ("hio-huber", "--delta", "nan")])
-def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag, value):
+# --tinit and --eps are not flags (the descent's first trial and TV smoothing
+# are solver constants): a run that passes one is refused before its value is read.
+@pytest.mark.parametrize("alg, flag, value, message", [
+    ("hio-tv", "--tinit", "inf", "unrecognized arguments: --tinit inf"),
+    ("hio-tv", "--eps", "inf", "unrecognized arguments: --eps inf"),
+    ("hio-tv", "--eps", "nan", "unrecognized arguments: --eps nan"),
+    ("hio-huber", "--delta", "inf", "must be finite"),
+    ("hio-huber", "--delta", "nan", "must be finite")],
+    ids=["hio-tv---tinit-inf", "hio-tv---eps-inf", "hio-tv---eps-nan", "hio-huber---delta-inf",
+         "hio-huber---delta-nan"])
+def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag, value, message):
     make_inputs(tmp_path)
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
@@ -280,20 +290,17 @@ def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag,
                  "--alg", alg, "--iters", "2", flag, value,
                  "--out", str(tmp_path / "bad")])
     assert code == EXIT_USAGE
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("alg, flag, value, message", [
-    ("hio-tv", "--eps", "1e300", ""),
-    ("hio-huber", "--delta", "1e300", ""),
     ("hio-huber", "--delta", "1.5e-154", "in the descent at iteration 1 of 3"),
-], ids=["hio-tv---eps", "hio-huber---delta", "hio-huber-descent-overflow"])
+], ids=["hio-huber-descent-overflow"])
 def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys, alg, flag,
                                                               value, message):
-    # epsilon**2 and delta**2 of a Python float raise OverflowError; the Huber
-    # gradient of a delta just above the smallest accepted one overflows in
-    # the descent's line search
+    # the Huber gradient of a delta just above the smallest accepted one
+    # overflows in the descent's line search
     make_inputs(tmp_path)
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
@@ -514,26 +521,35 @@ def test_sweep_invalid_json(tmp_path):
 
 
 def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
-    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-tv"])
-    payload = json.loads(cfg.read_text())
-    payload["retrieval"]["n_iner_steps"] = 3
-    cfg.write_text(json.dumps(payload))
-    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
-    assert "n_iner_steps" in capsys.readouterr().err
-    assert not (tmp_path / "sweep_out").exists()
+    # epsilon and t_init are solver constants, not settings
+    for key in ("n_iner_steps", "epsilon", "t_init"):
+        cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-tv"])
+        payload = json.loads(cfg.read_text())
+        payload["retrieval"][key] = 3
+        cfg.write_text(json.dumps(payload))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"unknown retrieval keys in sweep config: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("epsilon", -1), ("delta", "foo"), ("delta", True), ("t_init", 0), ("n_inner_steps", 2.5),
-    ("epsilon", True), ("t_init", True), ("t_init", float("inf")), ("epsilon", float("nan")),
-    ("delta", float("inf"))])
-def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value):
+# epsilon and t_init are solver constants, not settings: whatever the value,
+# the key itself is refused.
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", -1, "unknown retrieval keys"), ("delta", "foo", "invalid penalty settings"),
+    ("delta", True, "invalid penalty settings"), ("t_init", 0, "unknown retrieval keys"),
+    ("n_inner_steps", 2.5, "invalid penalty settings"), ("epsilon", True, "unknown retrieval keys"),
+    ("t_init", True, "unknown retrieval keys"), ("t_init", float("inf"), "unknown retrieval keys"),
+    ("epsilon", float("nan"), "unknown retrieval keys"),
+    ("delta", float("inf"), "invalid penalty settings"), ("delta", 1e300, "normal square")],
+    ids=["epsilon--1", "delta-foo", "delta-True", "t_init-0", "n_inner_steps-2.5", "epsilon-True",
+         "t_init-True", "t_init-inf", "epsilon-nan", "delta-inf", "delta-1e+300"])
+def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value, message):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
     payload = json.loads(cfg.read_text())
     payload["retrieval"][key] = value
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_USAGE
-    assert "invalid penalty settings" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "sweep_out").exists()
 
 
@@ -591,17 +607,17 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds
 
 
 def test_sweep_failure_names_its_exception(tmp_path):
-    # epsilon**2 overflows in every hio-tv cell; str() of an OverflowError
-    # alone is the bare errno tuple
-    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio", "hio-tv"], iters=2)
+    # the Huber gradient of this delta overflows in the first descent step
+    # of every hio-huber cell; str() of the error alone does not name its type
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio", "hio-huber"], iters=2)
     payload = json.loads(cfg.read_text())
-    payload["retrieval"]["epsilon"] = 1e300
+    payload["retrieval"]["delta"] = 1.5e-154
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg)]) == EXIT_DATA
     aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
     (failure,) = aggregate["failures"]
-    assert (failure["algorithm"], failure["seed"]) == ("hio-tv", 0)
-    assert failure["error"].startswith("OverflowError: ")
+    assert (failure["algorithm"], failure["seed"]) == ("hio-huber", 0)
+    assert failure["error"].startswith("FloatingPointError: ")
     assert set(aggregate["algorithms"]) == {"hio"}
 
 
