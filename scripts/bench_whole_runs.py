@@ -1,4 +1,4 @@
-"""Whole 500-iteration runs, quality pools and Tier-1 time, for two source trees.
+"""Whole 500-iteration runs, descent layer timings, quality pools and Tier-1 time, for two source trees.
 
     python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
         --repeats 5 --out BENCH_whole_runs.json
@@ -14,6 +14,16 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
 - Timed runs: `--repeats` runs of `hio-tv` (binary phantom, pattern seed 1)
   and of `hio-huber` (gray phantom, pattern seed 0), run seed 0, per side.
   The time is the wall time of `run_hio` alone; min and median are reported.
+- Layer timings: `--repeats` fresh processes per side, alternating as
+  above; each times one layer 30 times and gives its fastest time (the
+  box's load comes in bursts longer than a block), and the min and median
+  over the processes are reported. The layers: one
+  sparsity_descent block (30 steps, the default PenaltySpec of `tv` and of
+  `huber`, so median delta) on the 60x60 support of the 128x128 binary
+  phantom (pattern seed 1) after 20 plain HIO iterations (run seed 0); and
+  the fixed cost of one descent step, a 30-step TV block on a seeded 4x4
+  all-support field divided by its steps. A layer process first counts the
+  steps each block takes (every one of the 30 is accepted on both fields).
 - Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
   and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each run
   gives its twin flag, its phase RMSE against the truth and its final
@@ -74,14 +84,61 @@ def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> 
     }
 
 
-def spawn(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
-    """run_once in a fresh process that imports sparsepr from `tree`."""
-    kind, phantom_kind, _ = ENGINES[engine]
+def time_layers(repeats: int = 30) -> dict:
+    """Fastest of 30 timings of each descent layer (child process); see the module docstring."""
+    import numpy as np
+
+    import sparsepr as sp
+    from sparsepr import sparsity
+    from sparsepr.grids import Workspace
+
+    spec = sp.PhantomSpec(image_size=128, support_size=60, kind="binary", pattern_seed=1)
+    magnitude = sp.magnitude_of(sp.forward_transform(sp.phantom(spec)))
+    mask = sp.make_support(128, 60)
+    field = sp.run_hio(magnitude, mask, sp.RetrievalConfig(beta=0.9, n_iterations=20,
+                                                           seed=0)).final_field
+    rng = np.random.default_rng(0)
+    small = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    cases = {"descent_block_60_tv": (field, mask, "tv"),
+             "descent_block_60_huber_median": (field, mask, "huber"),
+             "descent_step_4x4": (small, np.ones((4, 4), dtype=bool), "tv")}
+    result = {}
+    for name, (f, m, kind) in cases.items():
+        window, penalty = sparsity.support_window(m), sparsity.PenaltySpec(kind=kind)
+        out, work = np.empty_like(f), Workspace()
+        steps, step = [], sparsity.backtracking_step
+
+        def counted(*args, **kwargs):
+            steps.append(step(*args, **kwargs))
+            return steps[-1]
+
+        sparsity.backtracking_step = counted
+        try:
+            sparsity.sparsity_descent(f, window, penalty, out=out, work=work)
+        finally:
+            sparsity.backtracking_step = step
+        seconds = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            sparsity.sparsity_descent(f, window, penalty, out=out, work=work)
+            seconds.append(time.perf_counter() - start)
+        result[name] = {"min_s": min(seconds),
+                        "steps": sum(t > 0 for t in steps)}
+    return result
+
+
+def spawn(tree: Path, *args) -> dict:
+    """This script's child mode with `args` in a fresh process that imports sparsepr from `tree`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, __file__, "--run", kind, phantom_kind,
-                          str(pattern_seed), str(run_seed)],
+    out = subprocess.run([sys.executable, __file__, *map(str, args)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def spawn_run(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
+    """run_once in a fresh process that imports sparsepr from `tree`."""
+    kind, phantom_kind, _ = ENGINES[engine]
+    return spawn(tree, "--run", kind, phantom_kind, pattern_seed, run_seed)
 
 
 def tier1(tree: Path) -> dict:
@@ -127,13 +184,17 @@ def main(argv=None) -> int:
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         for engine, (_, _, pattern_seed) in ENGINES.items():
             for side in order:
-                timed[side][engine].append(spawn(trees[side], engine, pattern_seed, 0))
+                timed[side][engine].append(spawn_run(trees[side], engine, pattern_seed, 0))
+    layers = {side: [] for side in trees}
+    for k in range(args.repeats):
+        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+            layers[side].append(spawn(trees[side], "--layers"))
     pools = {side: {engine: [] for engine in POOLS} for side in trees}
     for engine, (pattern_seeds, run_seeds, _) in POOLS.items():
         cases = [(pattern, run) for pattern in pattern_seeds for run in run_seeds]
         for k, (pattern_seed, run_seed) in enumerate(cases):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-                run = spawn(trees[side], engine, pattern_seed, run_seed)
+                run = spawn_run(trees[side], engine, pattern_seed, run_seed)
                 pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
     suites = {side: tier1(tree) for side, tree in trees.items()}
 
@@ -142,12 +203,24 @@ def main(argv=None) -> int:
         return {"min_s": min(seconds), "median_s": statistics.median(seconds), "runs_s": seconds,
                 "final_field_sha256": sorted({r["final_field_sha256"] for r in runs})}
 
+    def layer_times(runs):
+        summary = {}
+        for name in runs[0]:
+            seconds = [r[name]["min_s"] for r in runs]
+            per = 1e6 / runs[0][name]["steps"] if name == "descent_step_4x4" else 1e3
+            unit = "us_per_step" if name == "descent_step_4x4" else "ms"
+            summary[name] = {f"min_{unit}": min(seconds) * per,
+                             f"median_{unit}": statistics.median(seconds) * per,
+                             "steps": sorted({r[name]["steps"] for r in runs})}
+        return summary
+
     result = {
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": {side: numpy_version(tree) for side, tree in trees.items()}},
         "method": __doc__.split("\n\n", 2)[2].strip(),
         "whole_runs_500_iterations": {side: {engine: times(runs) for engine, runs in by.items()}
                                       for side, by in timed.items()},
+        "descent_layers": {side: layer_times(runs) for side, runs in layers.items()},
         "quality_pools": {side: {engine: {"summary": pool_summary(runs, POOLS[engine][2]),
                                           "runs": runs}
                                  for engine, runs in by.items()}
@@ -164,7 +237,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--run"]:
+    if sys.argv[1:] == ["--layers"]:
+        print(json.dumps(time_layers()))
+    elif sys.argv[1:2] == ["--run"]:
         kind, phantom_kind, pattern_seed, run_seed = sys.argv[2:]
         print(json.dumps(run_once(kind, phantom_kind, int(pattern_seed), int(run_seed))))
     else:

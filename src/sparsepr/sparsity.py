@@ -89,13 +89,13 @@ def _gradient_into(f, gx, gy):
     """discrete_gradient's stencil, unchecked: C-contiguous arrays of one shape."""
     # x-differences on the flattened rows, from f shifted into gx: its last
     # column holds 0, so the pair that wraps to the next row is 0 - f.
-    flat = gx.reshape(-1)
-    flat[:-1] = f.reshape(-1)[1:]
+    flat, f_flat = gx.reshape(-1), f.reshape(-1)
+    flat[:-1] = f_flat[1:]
     gx[:, -1:] = 0
-    flat -= f.reshape(-1)
+    flat -= f_flat
     gx[:, -1:] = 0
-    np.subtract(f[1:, :], f[:-1, :], out=gy[:-1, :])
-    gy[-1:, :] = 0
+    np.subtract(f[1:], f[:-1], out=gy[:-1])
+    gy[-1:] = 0
     return gx, gy
 
 
@@ -108,14 +108,17 @@ def _divergence_into(gx, gy, out):
         # 0 and -1 start at 0: the wrapped flat pair is 0 - gx, cannot overflow.
         np.add(gx, 0, out=out)
         out[:, ::out.shape[1] - 1] = 0
-        out.reshape(-1)[1:] -= gx.reshape(-1)[:-1]
+        shifted = out.reshape(-1)[1:]
+        shifted -= gx.reshape(-1)[:-1]
         np.add(gx[:, 0], 0, out=out[:, 0])
     else:
         out[...] = 0
     if out.shape[0] > 1:
-        out[0, :] += gy[0, :]
-        out[1:-1, :] += gy[1:-1, :] - gy[:-2, :]
-        out[-1, :] -= gy[-2, :]
+        # views held by name: out[i] op= x would copy the result onto itself
+        first, middle, last = out[0], out[1:-1], out[-1]
+        first += gy[0]
+        middle += gy[1:-1] - gy[:-2]
+        last -= gy[-2]
     return out
 
 
@@ -192,19 +195,15 @@ class Gradient(NamedTuple):
 
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
-    """The field's Gradient (`out` is a Gradient of C-contiguous arrays)."""
+    """The field's Gradient (`out`, a Gradient of C-contiguous arrays, is filled and returned)."""
     f = np.ascontiguousarray(field)
-    gx, gy = _gradient_into(f, *((np.empty_like(f), np.empty_like(f)) if out is None else out[:2]))
-    mag_sq = np.abs(gx, out=None if out is None else out.mag_sq)
+    gx, gy, mag_sq = (np.empty_like(f), np.empty_like(f), None) if out is None else out
+    _gradient_into(f, gx, gy)
+    mag_sq = np.abs(gx, out=mag_sq)
     np.square(mag_sq, out=mag_sq)
     gy_sq = np.abs(gy)
     mag_sq += np.square(gy_sq, out=gy_sq)
-    return Gradient(gx, gy, mag_sq)
-
-
-def _region_sum(values, submask) -> float:
-    """Row-major sum of `values` where `submask` is true (all if None), as np.sum reduces."""
-    return float(np.add.reduce(values.ravel() if submask is None else values[submask]))
+    return Gradient(gx, gy, mag_sq) if out is None else out
 
 
 def _smoothed_modulus(mag_sq, s, out=None) -> np.ndarray:
@@ -216,15 +215,23 @@ def _smoothed_modulus(mag_sq, s, out=None) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
+def _modulus_sum(field, s, region, grad: Gradient | None, out) -> tuple[float, int]:
+    """Row-major sum (as np.sum reduces) of the smoothed modulus r at `s` over
+    `region`'s n pixels, and n. r is taken on the region's window, from `grad`
+    (that window's Gradient) if given, and left in `out`."""
+    sub, submask = _restrict(field, region)
+    r = _smoothed_modulus((gradient_of(sub) if grad is None else grad).mag_sq, s, out)
+    terms = r.ravel() if submask is None else r[submask]
+    return float(np.add.reduce(terms)), terms.size
+
+
 def tv_value(field, region=None) -> float:
     """Total variation over `region` (whole grid if None).
 
     Gradients are taken on the region's bounding-box window so that
     outside-support content never leaks into the reported value.
     """
-    sub, submask = _restrict(field, region)
-    mag_sq = gradient_of(sub).mag_sq
-    return _region_sum(_smoothed_modulus(mag_sq, 0.0, out=mag_sq), submask)
+    return _modulus_sum(field, 0.0, region, None, None)[0]
 
 
 def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None, *,
@@ -237,10 +244,7 @@ def smoothed_tv_value(field, epsilon, region=None, grad: Gradient | None = None,
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    sub, submask = _restrict(field, region)
-    if grad is None:
-        grad = gradient_of(sub)
-    return _region_sum(_smoothed_modulus(grad.mag_sq, epsilon, out), submask)
+    return _modulus_sum(field, epsilon, region, grad, out)[0]
 
 
 def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> np.ndarray:
@@ -248,30 +252,37 @@ def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> n
     weight is None): the gradient of sum(r) / weight, with r the smoothed
     modulus at `s` unless the caller passes it.
 
-    numpy's complex quotient by c + 0j is (a + b*0) * (1/c) part by part, so
-    one reciprocal and two real products give its bits up to the sign of a
-    zero, on which discrete_divergence's output does not depend. The
-    quotients are new contiguous arrays, so they skip its checks; a
-    strided `out` receives a copy of the kernel's result.
+    Each complex plane is multiplied by 1/scale + 0j. numpy's complex
+    quotient by c + 0j is (a + b*0) * (1/c) part by part, the product
+    (a*(1/c) - b*0) + (a*0 + b*(1/c))j: for finite input they differ only in
+    the sign of a zero part, which the divergence's 0 + a form erases, so
+    the bits are the quotient's. They equal those of two real products by
+    1/c for finite input only: where a part is inf, b*0 makes both parts of
+    the pixel NaN, as in the quotient, where those products make one. The
+    quotients are new contiguous arrays, so they skip discrete_divergence's
+    checks; a strided `out` receives a copy of the kernel's result.
     """
     if grad is None:
         grad = gradient_of(field)
     if r is None:
         r = _smoothed_modulus(grad.mag_sq, s)
-    scale = r if weight is None else np.multiply(r, weight)
-    if not np.iscomplexobj(grad.gx):
-        parts = [np.divide(g, scale, order="C") for g in grad[:2]]
+    gx, gy = grad.gx, grad.gy
+    if gx.dtype.kind == "c":
+        py = np.zeros(gx.shape, np.result_type(gx, r))
+        inv = py.real
+        np.reciprocal(r if weight is None else np.multiply(r, weight, out=inv), out=inv)
+        px = np.multiply(gx, py, order="C")
+        np.multiply(gy, py, out=py)
     else:
-        inv = np.reciprocal(scale)
-        parts = [np.empty(g.shape, np.result_type(g, inv)) for g in grad[:2]]
-        for g, part in zip(grad, parts):
-            np.multiply(g.real, inv, out=part.real)
-            np.multiply(g.imag, inv, out=part.imag)
-    if out is None or out.flags.c_contiguous:
-        out = _divergence_into(*parts, np.empty_like(parts[0]) if out is None else out)
-    else:
-        np.copyto(out, _divergence_into(*parts, np.empty_like(parts[0])))
-    return np.negative(out, out=out)
+        scale = r if weight is None else np.multiply(r, weight)
+        px, py = np.divide(gx, scale, order="C"), np.divide(gy, scale, order="C")
+    div = out if out is not None and out.flags.c_contiguous else np.empty_like(px)
+    parts = _divergence_into(px, py, div).view(div.real.dtype)
+    np.negative(parts, out=parts)  # part by part: numpy's complex negative is a scalar loop
+    if out is None or out is div:
+        return div
+    np.copyto(out, div)
+    return out
 
 
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,
@@ -294,12 +305,8 @@ def huber_value(field, delta, region=None, grad: Gradient | None = None, *,
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
-    sub, submask = _restrict(field, region)
-    if grad is None:
-        grad = gradient_of(sub)
-    r = _smoothed_modulus(grad.mag_sq, delta, out)
-    n = r.size if submask is None else np.count_nonzero(submask)
-    return float(_region_sum(r, submask) / delta - n)
+    total, n = _modulus_sum(field, delta, region, grad, out)
+    return float(total / delta - n)
 
 
 def huber_gradient(field, delta, grad: Gradient | None = None, *, scale=None,
@@ -415,6 +422,8 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     sub = f[window.rows, window.cols]
     inside = window.mask  # None if all of the window is support
     outside = None if inside is None else ~inside
+    dtype = np.result_type(sub, 1.0)
+    minus_zero = -dtype.type(0)  # the gradient outside the support, see backtracking_step
     # The window's own window, or None if all support: penalty calls crop nothing.
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     if spec.kind == "tv":
@@ -427,7 +436,6 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
 
     if work is None:
         work = Workspace()
-    dtype = np.result_type(sub, 1.0)
     real = np.finfo(dtype).dtype
 
     def buffer(name, kind=dtype):
@@ -459,7 +467,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
                 p0 = value(sub, s, local, grad, out=per_pixel)
             gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)
             if outside is not None:
-                np.copyto(gradient, -dtype.type(0), where=outside)  # see backtracking_step
+                np.copyto(gradient, minus_zero, where=outside)
             if not gradient.any() or backtracking_step(sub, gradient, penalty, p0=p0,
                                                        out=trial) == 0.0:
                 break

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sparsepr import sparsity
+from sparsepr import PhantomSpec, binary_phase_phantom, make_support, sparsity
 from sparsepr.grids import SettingError, Workspace
 from sparsepr.sparsity import (
     EPSILON,
@@ -641,6 +641,39 @@ def test_descent_step_never_raises_the_penalty(case):
         assert penalty(sparsity_descent(field, mask, one_step)) <= penalty(field)
 
 
+def _paper_window_field():
+    """The paper's 128x128 grid and 60x60 support: the binary phantom with
+    seeded complex noise of 0.1 inside the support, and the support mask."""
+    field = binary_phase_phantom(PhantomSpec(image_size=128, support_size=60))
+    mask = make_support(128, 60)
+    noise = random_field(field.shape, 72)
+    return np.where(mask, field + 0.1 * noise, 0), mask
+
+
+def _layout(field, order):
+    """`field` itself, a Fortran-ordered copy or every second column of a wider array."""
+    if order == "F":
+        return np.asfortranarray(field)
+    if order == "strided":
+        wide = np.zeros((field.shape[0], 2 * field.shape[1]), field.dtype)
+        wide[:, ::2] = field
+        return wide[:, ::2]
+    return field
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+@pytest.mark.parametrize("kind, delta_rule", [("tv", "median"), ("huber", "median"),
+                                              ("huber", 0.05)])
+def test_descent_on_the_paper_window_is_bit_equal_to_public_composition(kind, delta_rule,
+                                                                       order):
+    field, mask = _paper_window_field()
+    spec = PenaltySpec(kind=kind, delta_rule=delta_rule)
+    reference = reference_descent(field, mask, spec)
+    assert not np.array_equal(reference, field)  # the steps moved the field
+    got = sparsity_descent(_layout(field, order), mask, spec)
+    assert got.tobytes() == reference.tobytes()
+
+
 # Every invalid PenaltySpec field and its error. A fixed delta's square must
 # be a finite, normal float: (1.49e-154)**2 is subnormal, (1.5e-154)**2 is
 # not; (1.35e154)**2 overflows, (1.3e154)**2 does not.
@@ -793,44 +826,83 @@ def test_stencils_still_report_an_overflow_inside_the_grid(axis):
                 stencil(*args)
 
 
-def _quotient_tv_gradient(f, epsilon):
-    """tv_gradient as first written: a complex quotient by the real scale."""
-    grad = gradient_of(f)
-    scale = np.sqrt(grad.mag_sq + epsilon**2)
+def _quotient_gradient(grad, scale):
+    """A penalty gradient as first written: -div of the complex quotients of
+    gx and gy by the real scale (r for TV, delta * r for Huber)."""
     return np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
 
 
-def _quotient_huber_gradient(f, delta):
-    """huber_gradient as a complex quotient by the real scale delta * r,
-    r = sqrt(|grad f|^2 + delta^2)."""
-    grad = gradient_of(f)
-    scale = delta * np.sqrt(grad.mag_sq + delta**2)
-    return np.negative(_old_discrete_divergence(grad.gx / scale, grad.gy / scale))
+def _reciprocal_gradient(grad, scale):
+    """A penalty gradient as the reciprocal path formed it: each part of gx
+    and gy times 1 / scale, two real products per plane."""
+    inv = np.reciprocal(scale)
+    parts = [np.empty_like(g) for g in grad[:2]]
+    for g, part in zip(grad, parts):
+        np.multiply(g.real, inv, out=part.real)
+        np.multiply(g.imag, inv, out=part.imag)
+    return np.negative(_old_discrete_divergence(*parts))
 
 
 # (field scale, epsilon or delta): tiny and huge scales, none of whose
 # squared gradients or delta * r overflow, nor delta**2 turn subnormal
 GRADIENT_SCALES = [(1.0, 1e-150), (1.0, 1e-8), (1.0, 1.0), (1.0, 1e150),
                    (1e-150, 1e-150), (1e150, 1e150), (1e-100, 1.0)]
+# Moduli r passed as `scale=`: one whose reciprocal is subnormal, and a
+# subnormal one whose reciprocal overflows to inf
+EXTREME_MODULI = [1e308, 1e-310]
+
+
+def _with_parts_at_zero(grad):
+    """A copy of `grad` with some parts of gx and gy held at +0, others at -0."""
+    gx, gy = grad.gx.copy(), grad.gy.copy()
+    gx.real[::2], gy.real[:, 1::2] = -0.0, 0.0
+    if np.iscomplexobj(gx):
+        gx.imag[1::2], gy.imag[:, ::2] = 0.0, -0.0
+    return Gradient(gx, gy, grad.mag_sq)
 
 
 @settings(max_examples=200, deadline=None)
-@given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES), st.booleans())
-def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, real):
+@given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES), st.booleans(),
+       st.sampled_from([None, *EXTREME_MODULI]), st.booleans())
+def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, real, modulus,
+                                                                   zeroed):
     size, param = scales
     f = f.real * size if real else f * size
     grad = gradient_of(f)
-    r = np.sqrt(grad.mag_sq + param**2)  # the scale both kinds take
-    for gradient, oracle in ((tv_gradient, _quotient_tv_gradient),
-                             (huber_gradient, _quotient_huber_gradient)):
-        expected = oracle(f, param)
-        got = gradient(f, param)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-        fortran = Gradient(*map(np.asfortranarray, grad))
-        assert gradient(f, param, fortran).tobytes() == expected.tobytes()
-        for out in (np.empty_like(f), *_strided_outs(f.shape, f.dtype)):
-            assert gradient(f, param, grad, scale=r, out=out) is out
-            assert out.tobytes() == expected.tobytes()
+    if zeroed:
+        grad = _with_parts_at_zero(grad)
+    own_r = modulus is None
+    r = np.sqrt(grad.mag_sq + param**2) if own_r else np.full(f.shape, modulus)
+    # an overflowing reciprocal makes inf and NaN parts on both sides
+    with np.errstate(**({} if own_r else {"all": "ignore"})):
+        for gradient, scale in ((tv_gradient, r), (huber_gradient, param * r)):
+            expected = _quotient_gradient(grad, scale)
+            if own_r and not zeroed:
+                got = gradient(f, param)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            fortran = Gradient(*map(np.asfortranarray, grad))
+            got = gradient(f, param, fortran, scale=None if own_r else np.asfortranarray(r))
+            assert got.tobytes() == expected.tobytes()
+            for out in (np.empty_like(f), *_strided_outs(f.shape, f.dtype)):
+                assert gradient(f, param, grad, scale=r, out=out) is out
+                assert out.tobytes() == expected.tobytes()
+
+
+def test_an_infinite_sample_gives_nan_at_the_same_pixels():
+    """The reciprocal path's bits hold for finite input only: where an inf
+    makes a part NaN, the complex product puts NaN in both parts of that
+    pixel, as the complex quotient does."""
+    f = random_field((6, 6), 71)
+    f[2, 3] = np.inf
+    with np.errstate(invalid="ignore"):
+        grad = gradient_of(f)
+        r = np.sqrt(grad.mag_sq + 1e-8**2)
+        before, quotient = _reciprocal_gradient(grad, r), _quotient_gradient(grad, r)
+        got = tv_gradient(f, 1e-8)
+    assert np.isnan(before.real).sum() == 5 and not np.isnan(before.imag).any()
+    assert np.array_equal(np.isnan(got), np.isnan(before))
+    assert np.array_equal(np.isnan(got.real), np.isnan(got.imag))
+    assert np.array_equal(got, quotient, equal_nan=True)
 
 
 def _gradient_buffers(shape):
