@@ -31,8 +31,12 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   recovered when it has no twin and a phase RMSE under its pool's
   tolerance: 0.01 rad for `hio-tv`, 0.15 rad for `hio-huber`, the
   benchmark's tolerances for these engines.
-- Tier-1: one run of the tree's whole pytest suite per side, from the
-  tree's root; its wall time and pytest's summary line.
+- Tier-1: TIER1_ROUNDS rounds of the tree's whole pytest suite per side,
+  from the tree's root, alternating as above (parent, change, change,
+  parent for two rounds); every run's wall time and pytest's summary line.
+  The comparison is "resolved" only when the two sides' ranges of wall
+  time do not overlap: a single run per side cannot tell a change from
+  the box's load, which moved one tree's suite from 146 s to 189 s.
 
 Each run also records the SHA-256 of its final field, so a change that
 should not move a bit can be checked run by run.
@@ -55,6 +59,8 @@ from pathlib import Path
 ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
 # engine -> (pattern seeds, run seeds, phase RMSE tolerance of a recovered run)
 POOLS = {"hio-tv": (range(1, 5), range(10), 0.01), "hio-huber": (range(4), range(5), 0.15)}
+# Tier-1 suite runs per side, in alternating order
+TIER1_ROUNDS = 2
 
 
 def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> dict:
@@ -141,7 +147,7 @@ def spawn_run(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict
     return spawn(tree, "--run", kind, phantom_kind, pattern_seed, run_seed)
 
 
-def tier1(tree: Path) -> dict:
+def tier1_run(tree: Path) -> dict:
     """Wall time and summary line of the tree's whole pytest suite."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
@@ -150,6 +156,20 @@ def tier1(tree: Path) -> dict:
                           cwd=tree, env=env, capture_output=True, text=True)
     return {"seconds": time.perf_counter() - start, "exit_code": done.returncode,
             "summary": done.stdout.strip().splitlines()[-1]}
+
+
+def tier1(trees: dict) -> dict:
+    """TIER1_ROUNDS alternating runs of each tree's suite, and whether their
+    wall-time ranges are apart."""
+    runs = {side: [] for side in trees}
+    for k in range(TIER1_ROUNDS):
+        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+            runs[side].append(tier1_run(trees[side]))
+    result = {side: {"min_s": min(r["seconds"] for r in rs), "max_s": max(r["seconds"] for r in rs),
+                     "runs": rs} for side, rs in runs.items()}
+    parent, change = result["parent"], result["change"]
+    result["resolved"] = parent["max_s"] < change["min_s"] or change["max_s"] < parent["min_s"]
+    return result
 
 
 def numpy_version(tree: Path) -> str:
@@ -196,7 +216,7 @@ def main(argv=None) -> int:
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
                 run = spawn_run(trees[side], engine, pattern_seed, run_seed)
                 pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
-    suites = {side: tier1(tree) for side, tree in trees.items()}
+    suites = tier1(trees)
 
     def times(runs):
         seconds = [r["seconds"] for r in runs]

@@ -14,10 +14,15 @@ so the last column of dx and last row of dy are zero. The divergence is
 the exact negative adjoint of this gradient, which makes the functional
 gradients pass finite-difference checks to machine-level accuracy.
 
+Fields are complex128: each public function casts a field it is given
+once, on entry, so a real field is taken as its complex cast. |a + 0j| is
+exactly |a|, so a penalty value of a real field has the bits of its
+complex cast; gradients, stencils and the descent return complex128.
+
 A function that takes a keyword `out` writes there what it would
 otherwise allocate and returns it, with the same bits; `out` must not
-overlap an input. A penalty value's `out` receives the smoothed modulus
-r it sums.
+overlap an input. A field-shaped `out` is complex128; a penalty value's
+`out` receives the smoothed modulus r it sums, a float64 array.
 """
 
 from __future__ import annotations
@@ -124,14 +129,14 @@ def _divergence_into(gx, gy, out):
 
 def discrete_gradient(field) -> tuple[np.ndarray, np.ndarray]:
     """Forward-difference gradient (gx, gy); zero at the far edges."""
-    f = np.ascontiguousarray(field)
+    f = np.ascontiguousarray(field, np.complex128)
     return _gradient_into(f, np.empty_like(f), np.empty_like(f))
 
 
 def discrete_divergence(gx, gy) -> np.ndarray:
     """Negative adjoint of discrete_gradient: <grad f, p> == -<f, div p>."""
-    gx = np.ascontiguousarray(gx)
-    gy = np.asarray(gy)
+    gx = np.ascontiguousarray(gx, np.complex128)
+    gy = np.asarray(gy, np.complex128)
     check_same_shape(gx, gy)
     return _divergence_into(gx, gy, np.empty_like(gx))
 
@@ -162,8 +167,8 @@ def support_window(region) -> SupportWindow:
 
 
 def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
-    """The field as an array and the window of `region` (whole grid if None)."""
-    f = np.asarray(field)
+    """The field as a complex128 array and the window of `region` (whole grid if None)."""
+    f = np.asarray(field, np.complex128)
     if region is None:
         return f, SupportWindow(f.shape, slice(None), slice(None), None)
     window = region if isinstance(region, SupportWindow) else support_window(region)
@@ -175,7 +180,7 @@ def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
 def _restrict(field, region):
     """Bounding-box view of the field and its window's mask."""
     if region is None:
-        return np.asarray(field), None
+        return np.asarray(field, np.complex128), None
     f, window = _window_of(field, region)
     return f[window.rows, window.cols], window.mask
 
@@ -196,7 +201,7 @@ class Gradient(NamedTuple):
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
     """The field's Gradient (`out`, a Gradient of C-contiguous arrays, is filled and returned)."""
-    f = np.ascontiguousarray(field)
+    f = np.ascontiguousarray(field, np.complex128)
     gx, gy, mag_sq = (np.empty_like(f), np.empty_like(f), None) if out is None else out
     _gradient_into(f, gx, gy)
     mag_sq = np.abs(gx, out=mag_sq)
@@ -266,18 +271,13 @@ def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> n
         grad = gradient_of(field)
     if r is None:
         r = _smoothed_modulus(grad.mag_sq, s)
-    gx, gy = grad.gx, grad.gy
-    if gx.dtype.kind == "c":
-        py = np.zeros(gx.shape, np.result_type(gx, r))
-        inv = py.real
-        np.reciprocal(r if weight is None else np.multiply(r, weight, out=inv), out=inv)
-        px = np.multiply(gx, py, order="C")
-        np.multiply(gy, py, out=py)
-    else:
-        scale = r if weight is None else np.multiply(r, weight)
-        px, py = np.divide(gx, scale, order="C"), np.divide(gy, scale, order="C")
+    py = np.zeros(grad.gy.shape, np.complex128)
+    inv = py.real
+    np.reciprocal(r if weight is None else np.multiply(r, weight, out=inv), out=inv)
+    px = np.multiply(grad.gx, py, order="C")
+    np.multiply(grad.gy, py, out=py)
     div = out if out is not None and out.flags.c_contiguous else np.empty_like(px)
-    parts = _divergence_into(px, py, div).view(div.real.dtype)
+    parts = _divergence_into(px, py, div).view(np.float64)
     np.negative(parts, out=parts)  # part by part: numpy's complex negative is a scalar loop
     if out is None or out is div:
         return div
@@ -365,17 +365,16 @@ def backtracking_step(field, gradient, penalty, p0=None, *, out=None) -> float:
     A caller that already knows penalty(field) passes it as `p0`, which
     saves one evaluation; penalty is then called on trial points only.
 
-    A trial is field + (-t)*g, -t of g's type: for complex g, -t - 0j, whose
-    four real products with g are those of t + 0j with -g. So each trial is
-    field + t*(-g) bit for bit, signed zeros too; a part of g held at -0
-    (-0 - 0j) steps as a part of -g held at +0.
+    A trial is field + (-t - 0j)*g, whose four real products with g are
+    those of t + 0j with -g. So each trial is field + t*(-g) bit for bit,
+    signed zeros too; a part of g held at -0 steps as a part of -g held at
+    +0. The field and the gradient are cast to complex128.
 
     Each trial is written into `out`, if given. When it returns t > 0, its
     last call to `penalty` was on the accepted trial, which is then in
     `out`; sparsity_descent relies on this.
     """
-    g = np.asarray(gradient)
-    scalar = np.result_type(g, 1.0).type
+    field, g = np.asarray(field, np.complex128), np.asarray(gradient, np.complex128)
     g_abs = np.abs(g)
     g_max = float(np.maximum.reduce(g_abs, axis=None)) if g.size else 0.0
     g_sq = float(np.add.reduce(np.square(g_abs, out=g_abs), axis=None))
@@ -383,7 +382,7 @@ def backtracking_step(field, gradient, penalty, p0=None, *, out=None) -> float:
         p0 = penalty(field)
     t = T_INIT / max(1.0, g_max)
     for _ in range(MAX_BACKTRACK_STEPS + 1):
-        trial = np.add(field, np.multiply(-scalar(t), g, out=out), out=out)
+        trial = np.add(field, np.multiply(-np.complex128(t), g, out=out), out=out)
         if penalty(trial) <= p0 - LS_ALPHA * t * g_sq:
             return t
         t *= LS_SHRINK
@@ -412,7 +411,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
 
     An overflow in a step raises FloatingPointError (numpy's own message).
     """
-    f = np.asarray(field)
+    f = np.asarray(field, np.complex128)
     if out is None:
         out = np.empty_like(f)
     np.copyto(out, f)
@@ -422,8 +421,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     sub = f[window.rows, window.cols]
     inside = window.mask  # None if all of the window is support
     outside = None if inside is None else ~inside
-    dtype = np.result_type(sub, 1.0)
-    minus_zero = -dtype.type(0)  # the gradient outside the support, see backtracking_step
+    minus_zero = -np.complex128(0)  # the gradient outside the support, see backtracking_step
     # The window's own window, or None if all support: penalty calls crop nothing.
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     if spec.kind == "tv":
@@ -436,17 +434,16 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
 
     if work is None:
         work = Workspace()
-    real = np.finfo(dtype).dtype
 
-    def buffer(name, kind=dtype):
+    def buffer(name, kind=np.complex128):
         return work.array("sparsity_descent." + name, sub.shape, kind)
 
     # The line search reads `sub` while it writes a trial, so the iterate
     # alternates between two arrays and never lands in the caller's field.
     trial, spare = buffer("iterate_a"), buffer("iterate_b")
     gradient = buffer("gradient")
-    per_pixel = buffer("per_pixel", real)
-    grad = gradient_of(sub, out=Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", real)))
+    per_pixel = buffer("per_pixel", np.float64)
+    grad = gradient_of(sub, out=Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", np.float64)))
     last = None
 
     def penalty(g) -> float:

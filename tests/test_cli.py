@@ -328,6 +328,22 @@ def test_metrics_command(tmp_path, capsys):
     assert payload["phase_rmse"] < 1e-12
 
 
+def test_metrics_of_a_real_recon_are_those_of_its_complex_cast(tmp_path, capsys):
+    """A real-valued recon file gives the JSON of the same grid written as complex."""
+    truth, _, _ = make_inputs(tmp_path)
+    recon = truth.real + 0.1 * np.random.default_rng(5).normal(size=truth.shape)
+    recon[::3, ::2] = -0.0
+    printed = []
+    for name, grid in (("real.prf1", recon), ("complex.prf1", recon.astype(np.complex128))):
+        write_field_file(grid, tmp_path / name)
+        assert read_field_file(tmp_path / name).dtype == grid.dtype
+        assert main(["metrics", "--recon", str(tmp_path / name),
+                     "--truth", str(tmp_path / "truth.prf1"),
+                     "--mask", str(tmp_path / "support.prf1")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 @pytest.mark.parametrize("command", ["metrics", "sweep"])
 def test_twin_threshold_is_not_a_flag(tmp_path, command):
     make_inputs(tmp_path)

@@ -856,18 +856,16 @@ def _with_parts_at_zero(grad):
     """A copy of `grad` with some parts of gx and gy held at +0, others at -0."""
     gx, gy = grad.gx.copy(), grad.gy.copy()
     gx.real[::2], gy.real[:, 1::2] = -0.0, 0.0
-    if np.iscomplexobj(gx):
-        gx.imag[1::2], gy.imag[:, ::2] = 0.0, -0.0
+    gx.imag[1::2], gy.imag[:, ::2] = 0.0, -0.0
     return Gradient(gx, gy, grad.mag_sq)
 
 
 @settings(max_examples=200, deadline=None)
-@given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES), st.booleans(),
+@given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES),
        st.sampled_from([None, *EXTREME_MODULI]), st.booleans())
-def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, real, modulus,
-                                                                   zeroed):
+def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, modulus, zeroed):
     size, param = scales
-    f = f.real * size if real else f * size
+    f = f * size
     grad = gradient_of(f)
     if zeroed:
         grad = _with_parts_at_zero(grad)
@@ -1003,10 +1001,8 @@ def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
 # ------------------------------------------------------------ the lean descent step
 
 @settings(max_examples=200, deadline=None)
-@given(signed_zero_fields(), signed_zero_fields(), st.booleans())
-def test_private_stencils_match_the_public_ones_bit_for_bit(f, p, real):
-    if real:
-        f, p = f.real.copy(), p.real.copy()
+@given(signed_zero_fields(), signed_zero_fields())
+def test_private_stencils_match_the_public_ones_bit_for_bit(f, p):
     gx, gy = np.full_like(f, np.nan), np.full_like(f, np.nan)
     assert all(a is b for a, b in zip(sparsity._gradient_into(f, gx, gy), (gx, gy)))
     for got, public, first in zip((gx, gy), discrete_gradient(f), _old_discrete_gradient(f)):
@@ -1059,14 +1055,12 @@ def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, delta_rule, r
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.booleans())
-def test_backtracking_trials_keep_every_signed_zero(data, real):
+@given(st.data())
+def test_backtracking_trials_keep_every_signed_zero(data):
     """Each trial is field + t*(-gradient) bit for bit, whatever zeros the
     field and the gradient hold: the trial scalar is -t - 0j, not -t + 0j."""
     f = data.draw(signed_zero_fields())
     gradient = data.draw(signed_zero_fields(f.shape))
-    if real:
-        f, gradient = f.real.copy(), gradient.real.copy()
     values = iter([1.0, 1.0, -np.inf])  # two trials rejected, the third accepted
     trials = []
 
@@ -1082,17 +1076,16 @@ def test_backtracking_trials_keep_every_signed_zero(data, real):
 
 
 @settings(max_examples=150, deadline=None)
-@given(descent_cases(), st.integers(0, 2**32 - 1), st.booleans())
-def test_descent_iterates_keep_every_signed_zero(case, seed, real):
+@given(descent_cases(), st.integers(0, 2**32 - 1))
+def test_descent_iterates_keep_every_signed_zero(case, seed):
     """Every accepted trial, outside pixels of the window included, is the
     window iterate sub + t*direction with direction +0 outside the support,
     on fields that hold -0 components inside and outside it."""
     field, mask, spec, t_init = case
     rng = np.random.default_rng(seed)
-    field = field.real.copy() if real else field.copy()
+    field = field.copy()
     field.real[rng.random(field.shape) < 0.3] = -0.0
-    if not real:
-        field.imag[rng.random(field.shape) < 0.3] = -0.0
+    field.imag[rng.random(field.shape) < 0.3] = -0.0
     accepted = []
     step = sparsity.backtracking_step
 
@@ -1108,3 +1101,48 @@ def test_descent_iterates_keep_every_signed_zero(case, seed, real):
         iterates = []
         assert got.tobytes() == reference_descent(field, mask, spec, iterates).tobytes()
     assert [a.tobytes() for a in accepted] == [a.tobytes() for a in iterates]
+
+
+# ------------------------------------------------------------ real fields
+
+@st.composite
+def real_field_cases(draw):
+    """A real field holding +0 and -0 samples, and a region: None, a ragged
+    mask or that mask's SupportWindow."""
+    field = draw(signed_zero_fields()).real.copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(field.shape) < draw(st.floats(0.2, 1.0))
+    mask[rng.integers(field.shape[0]), rng.integers(field.shape[1])] = True
+    region = draw(st.sampled_from(["none", "mask", "window"]))
+    return field, {"none": None, "mask": mask, "window": support_window(mask)}[region]
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_field_cases())
+def test_penalty_values_of_a_real_field_are_those_of_its_complex_cast(case):
+    """|a + 0j| is exactly |a|, so casting a real field on entry keeps its
+    penalty values bit for bit."""
+    field, region = case
+    cast = field.astype(np.complex128)
+    for value in (lambda f: tv_value(f, region),
+                  lambda f: smoothed_tv_value(f, 1e-3, region),
+                  lambda f: huber_value(f, 0.7, region),
+                  lambda f: select_delta(f, region)):
+        got, expected = value(field), value(cast)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_field_cases(), st.sampled_from(["tv", "huber"]))
+def test_gradients_and_descent_of_a_real_field_are_complex128(case, kind):
+    field, region = case
+    mask = np.ones(field.shape, dtype=bool) if region is None else region
+    cast = field.astype(np.complex128)
+    spec = PenaltySpec(kind=kind, n_inner_steps=3)
+    for compute in (lambda f: discrete_gradient(f)[0], lambda f: discrete_gradient(f)[1],
+                    lambda f: tv_gradient(f, 1e-3), lambda f: huber_gradient(f, 0.7),
+                    lambda f: sparsity_descent(f, mask, spec)):
+        got = compute(field)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == compute(cast).tobytes()
