@@ -1,4 +1,4 @@
-"""Whole 500-iteration runs, descent layer timings, quality pools and Tier-1 time, for two source trees.
+"""Whole 500-iteration runs, descent layer timings, quality pools, Tier-1 time and source size, for two source trees.
 
     python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
         --repeats 5 --out BENCH_whole_runs.json
@@ -37,6 +37,9 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   The comparison is "resolved" only when the two sides' ranges of wall
   time do not overlap: a single run per side cannot tell a change from
   the box's load, which moved one tree's suite from 146 s to 189 s.
+- Source size: the lines of the tree's `src/sparsepr/*.py` (newlines, as
+  `wc -l` counts them) and its code lines, the lines that hold a token
+  other than a comment, a docstring or layout (newline, indent, dedent).
 
 Each run also records the SHA-256 of its final field, so a change that
 should not move a bit can be checked run by run.
@@ -45,7 +48,9 @@ should not move a bit can be checked run by run.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -53,6 +58,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 # engine -> (penalty kind, phantom kind, pattern seed of the timed runs)
@@ -61,6 +67,9 @@ ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
 POOLS = {"hio-tv": (range(1, 5), range(10), 0.01), "hio-huber": (range(4), range(5), 0.15)}
 # Tier-1 suite runs per side, in alternating order
 TIER1_ROUNDS = 2
+# Tokens that make no line a code line (comments and layout)
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> dict:
@@ -172,6 +181,25 @@ def tier1(trees: dict) -> dict:
     return result
 
 
+def source_size(tree: Path) -> dict:
+    """Lines and code lines of the tree's src/sparsepr/*.py; see the module docstring."""
+    lines = code = 0
+    for path in sorted((tree / "src" / "sparsepr").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code_lines = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in NOT_CODE:
+                code_lines.update(range(token.start[0], token.end[0] + 1))
+        lines += text.count("\n")
+        code += len(code_lines - docstrings)
+    return {"lines": lines, "code_lines": code}
+
+
 def numpy_version(tree: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -250,6 +278,7 @@ def main(argv=None) -> int:
                         for a, b in zip(pools["parent"][engine], pools["change"][engine]))
             for engine in POOLS},
         "tier1": suites,
+        "source_size": {side: source_size(tree) for side, tree in trees.items()},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -116,26 +116,17 @@ def cmd_forward(args) -> int:
 # Algorithm name -> the penalty kind of its PenaltySpec ("none" is plain HIO).
 ALGORITHMS = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}
 
-# Penalty settings -> the PenaltySpec field each sets. A setting is a
-# `retrieve` flag's destination and a key of a sweep's "retrieval" object.
-PENALTY_SETTINGS = {
-    "n_inner_steps": "n_inner_steps",
-    "delta": "delta_rule",
-}
+# Penalty settings, each a PenaltySpec field: a `retrieve` flag's
+# destination and a key of a sweep's "retrieval" object.
+PENALTY_SETTINGS = ("n_inner_steps",)
 
 
 def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
     """The validated PenaltySpec of `alg` with the given penalty settings."""
     if alg not in ALGORITHMS:
         raise SettingError(f"unknown algorithm {alg!r}")
-    fields = {PENALTY_SETTINGS[name]: value for name, value in settings.items()}
     try:
-        # A `--delta` flag or a JSON string names a number; PenaltySpec
-        # checks everything else, bools included.
-        rule = fields.get("delta_rule", "median")
-        if isinstance(rule, str) and rule != "median":
-            fields["delta_rule"] = float(rule)
-        return PenaltySpec(kind=ALGORITHMS[alg], **fields)
+        return PenaltySpec(kind=ALGORITHMS[alg], **settings)
     except ValueError as exc:
         raise SettingError(f"invalid penalty settings for {alg}: {exc}") from exc
 
@@ -346,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=retrieval.RetrievalConfig.beta)
     p.add_argument("--ntv", dest="n_inner_steps", type=int, default=None,
                    help="descent steps per iteration")
-    p.add_argument("--delta", default=None, help="'median' or a fixed value")
     p.add_argument("--seed", type=int, default=retrieval.RetrievalConfig.seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_retrieve)

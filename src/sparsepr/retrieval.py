@@ -81,8 +81,8 @@ def zero_outside_support(field, mask) -> np.ndarray:
 
 
 def penalty_value(field, region, spec: PenaltySpec) -> float:
-    """In-support penalty of `field` for `spec`: the Huber penalty with the
-    spec's delta rule for kind "huber", total variation for any other kind.
+    """In-support penalty of `field` for `spec`: the Huber penalty at the
+    median delta for kind "huber", total variation for any other kind.
 
     `region` is a mask or a SupportWindow. This is the value of a run's
     penalty trace and of every reported final penalty. For Huber, the
@@ -93,8 +93,7 @@ def penalty_value(field, region, spec: PenaltySpec) -> float:
         return tv_value(field, region)
     f, window = _window_of(field, region)
     grad = gradient_of(f[window.rows, window.cols])
-    delta = select_delta(field, window, grad) if spec.delta_rule == "median" else spec.delta_rule
-    return huber_value(field, delta, window, grad)
+    return huber_value(field, select_delta(field, window, grad), window, grad)
 
 
 def run_hio(magnitude, mask, config: RetrievalConfig, *,
@@ -118,8 +117,13 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     m = as_mask(mask)
     check_same_shape(magnitude, m)
     mag = as_magnitude(magnitude, "magnitude data")
-    if not mag.any():
-        raise ValueError("magnitude data is all zero")
+    # The residual is divided by this norm: squares that all underflow make
+    # it 0, one that overflows makes it inf, and no iteration could be scored.
+    with np.errstate(over="ignore"):
+        mag_norm = l2_norm(mag)
+    if not 0 < mag_norm < np.inf:
+        raise ValueError("magnitude data is all zero" if not mag.any() else
+                         f"magnitude data has a norm of {mag_norm} in float64; rescale it")
     # Masks are checked and cut to their windows once per run; the loop
     # hands the windows to the descent and the penalty trace.
     window = support_window(m)
@@ -145,7 +149,6 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
-    mag_norm = l2_norm(mag)
 
     for n in range(config.n_iterations):
         step_mask, step_window = m, window

@@ -57,18 +57,16 @@ class PenaltySpec:
 
     kind: "none", "tv" or "huber".
     n_inner_steps: gradient-descent steps per outer iteration.
-    delta_rule: "median" (recomputed each descent step) or a fixed real
-        number (not a bool) whose square is normal and finite, stored as
-        a float.
 
-    The descent's numerical constants are module constants: EPSILON and
+    Huber's delta is select_delta's median |grad g| over the support,
+    recomputed at every descent step and for every reported penalty. The
+    descent's numerical constants are module constants: EPSILON and
     EPSILON_FLOOR for the TV smoothing, T_INIT, LS_ALPHA, LS_SHRINK and
     MAX_BACKTRACK_STEPS for the line search.
     """
 
     kind: str = "none"
     n_inner_steps: int = 30
-    delta_rule: str | float = "median"
 
     def __post_init__(self):
         if self.kind not in ("none", "tv", "huber"):
@@ -76,18 +74,6 @@ class PenaltySpec:
         check_number("n_inner_steps", self.n_inner_steps, integer=True)
         if self.n_inner_steps < 0:
             raise SettingError("n_inner_steps must be >= 0")
-        if isinstance(self.delta_rule, str):
-            if self.delta_rule != "median":
-                raise SettingError(f"unknown delta rule {self.delta_rule!r}")
-        else:
-            check_number("fixed delta", self.delta_rule)
-            delta = float(self.delta_rule)
-            # Huber divides by delta * r >= delta**2 and adds delta**2: a zero or
-            # subnormal square makes the quotient inf, an infinite one overflows.
-            if not (delta > 0 and np.finfo(float).tiny <= delta * delta < np.inf):
-                raise SettingError(
-                    f"fixed delta must be > 0 with a finite, normal square, got {delta!r}")
-            object.__setattr__(self, "delta_rule", delta)
 
 
 def _gradient_into(f, gx, gy):
@@ -214,9 +200,11 @@ def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
 def _smoothed_modulus(mag_sq, s, out=None) -> np.ndarray:
     """r = sqrt(mag_sq + s**2), the per-pixel modulus every penalty sums.
 
-    At s = 0 it is sqrt(mag_sq) bit for bit, since mag_sq >= +0.
+    At s = 0 it is sqrt(mag_sq) bit for bit, since mag_sq >= +0. s is
+    squared as a float64, which has the Python float's bits and, unlike
+    it, obeys np.errstate.
     """
-    r = np.add(mag_sq, s**2, out=out)
+    r = np.add(mag_sq, np.float64(s)**2, out=out)
     return np.sqrt(r, out=r)
 
 
@@ -397,19 +385,22 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     or a SupportWindow); only pixels where the mask is true are updated,
     everything else is returned unchanged bit-for-bit.
 
-    Both kinds take one step body at smoothing s: EPSILON * max|g| for TV, the
-    fixed delta, or select_delta's median of the current iterate at every
-    step. A step calls the kind's gradient function, then backtracking_step
-    with the gradient, -0 outside the support, and the kind's value function.
-    The accepted trial is the next iterate: its Gradient, penalty value and
+    Both kinds take one step body at smoothing s: EPSILON * max|g| for TV,
+    select_delta's median of the current iterate at every Huber step. A step
+    calls the kind's gradient function, then backtracking_step with the
+    gradient, -0 outside the support, and the kind's value function. The
+    accepted trial is the next iterate: its Gradient, penalty value and
     smoothed modulus r are the next step's `grad`, `p0` and `scale`, except
     that after select_delta the value function recomputes r and `p0` at the
-    new delta. An all-support window is region None.
+    new delta. A median delta with delta**2 < 16 n / (largest float64), n
+    the window's pixels, ends the block: on a field that flat no Huber step
+    fits in float64. An all-support window is region None.
 
     The window-sized arrays the steps write come from `work`, so a caller
     that passes the same Workspace to every call allocates them once.
 
-    An overflow in a step raises FloatingPointError (numpy's own message).
+    An overflow anywhere in the block, the first gradient included, raises
+    FloatingPointError (numpy's own message).
     """
     f = np.asarray(field, np.complex128)
     if out is None:
@@ -424,13 +415,11 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     minus_zero = -np.complex128(0)  # the gradient outside the support, see backtracking_step
     # The window's own window, or None if all support: penalty calls crop nothing.
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
-    if spec.kind == "tv":
-        value, gradient_fn = smoothed_tv_value, tv_gradient
-        s = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
-    else:
-        value, gradient_fn = huber_value, huber_gradient
-        s = spec.delta_rule
-    median = s == "median"
+    tv = spec.kind == "tv"
+    value, gradient_fn = (smoothed_tv_value, tv_gradient) if tv else (huber_value, huber_gradient)
+    # |d| <= (2 + sqrt(2)) / delta at every pixel, so for delta**2 at or
+    # above this neither 1/(delta*r) nor ||d||^2 can overflow
+    min_delta_sq = 16 * sub.size / np.finfo(np.float64).max
 
     if work is None:
         work = Workspace()
@@ -443,7 +432,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     trial, spare = buffer("iterate_a"), buffer("iterate_b")
     gradient = buffer("gradient")
     per_pixel = buffer("per_pixel", np.float64)
-    grad = gradient_of(sub, out=Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", np.float64)))
+    grad = Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", np.float64))
     last = None
 
     def penalty(g) -> float:
@@ -457,10 +446,15 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     # Left to numpy's warning, an overflow such as an infinite ||d||^2 would
     # turn every step into t = 0 and the run would go on as if it converged.
     with np.errstate(over="raise"):
-        p0 = None if median else value(sub, s, local, grad, out=per_pixel)
+        gradient_of(sub, out=grad)
+        if tv:
+            s = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
+            p0 = value(sub, s, local, grad, out=per_pixel)
         for _ in range(spec.n_inner_steps):
-            if median:
+            if not tv:
                 s = select_delta(sub, local, grad)
+                if s * s < min_delta_sq:
+                    break
                 p0 = value(sub, s, local, grad, out=per_pixel)
             gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)
             if outside is not None:

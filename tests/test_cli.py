@@ -1,11 +1,12 @@
 import dataclasses
 import json
 from concurrent.futures import Future
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from sparsepr import cli, retrieval
+from sparsepr import cli, retrieval, sparsity
 from sparsepr.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -158,11 +159,10 @@ def test_retrieve_warns_on_ignored_ntv(tmp_path, capsys):
     code = main(["retrieve",
                  "--magnitude", str(tmp_path / "magnitude.prf1"),
                  "--mask", str(tmp_path / "support.prf1"),
-                 "--alg", "hio", "--iters", "2", "--ntv", "5", "--delta", "0.5",
+                 "--alg", "hio", "--iters", "2", "--ntv", "5",
                  "--out", str(tmp_path / "warn")])
     assert code == 0
-    err = capsys.readouterr().err
-    assert "n_inner_steps ignored" in err and "delta ignored" in err
+    assert "n_inner_steps ignored" in capsys.readouterr().err
 
 
 def test_retrieve_sparse_matches_library(tmp_path):
@@ -222,8 +222,9 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("flags, bad_file, code, message", [
     (["--iters", "0"], None, EXIT_USAGE, "n_iterations must be >= 1"),
-    (["--alg", "hio-huber", "--delta", "1e-300"], None, EXIT_USAGE, "normal square"),
-    (["--alg", "hio-huber", "--delta", "1e300"], None, EXIT_USAGE, "normal square"),
+    (["--alg", "hio-huber", "--ntv", "-1"], None, EXIT_USAGE, "n_inner_steps must be >= 0"),
+    (["--alg", "hio-huber", "--delta", "1e300"], None, EXIT_USAGE,
+     "unrecognized arguments: --delta"),
     (["--alg", "hio-tv", "--eps", "1e-6"], None, EXIT_USAGE, "unrecognized arguments: --eps"),
     (["--alg", "hio-tv", "--tinit", "0.1"], None, EXIT_USAGE, "unrecognized arguments: --tinit"),
     ([], "mask", EXIT_DATA, "mask has no true pixels"),
@@ -272,14 +273,15 @@ def test_retrieve_negative_seed_is_usage_error(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
-# --tinit and --eps are not flags (the descent's first trial and TV smoothing
-# are solver constants): a run that passes one is refused before its value is read.
+# --tinit, --eps and --delta are not flags (the descent's first trial and TV
+# smoothing are solver constants, Huber's delta is the per-step median): a run
+# that passes one is refused before its value is read.
 @pytest.mark.parametrize("alg, flag, value, message", [
     ("hio-tv", "--tinit", "inf", "unrecognized arguments: --tinit inf"),
     ("hio-tv", "--eps", "inf", "unrecognized arguments: --eps inf"),
     ("hio-tv", "--eps", "nan", "unrecognized arguments: --eps nan"),
-    ("hio-huber", "--delta", "inf", "must be finite"),
-    ("hio-huber", "--delta", "nan", "must be finite")],
+    ("hio-huber", "--delta", "inf", "unrecognized arguments: --delta inf"),
+    ("hio-huber", "--delta", "nan", "unrecognized arguments: --delta nan")],
     ids=["hio-tv---tinit-inf", "hio-tv---eps-inf", "hio-tv---eps-nan", "hio-huber---delta-inf",
          "hio-huber---delta-nan"])
 def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag, value, message):
@@ -294,23 +296,20 @@ def test_retrieve_non_finite_setting_is_usage_error(tmp_path, capsys, alg, flag,
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("alg, flag, value, message", [
-    ("hio-huber", "--delta", "1.5e-154", "in the descent at iteration 1 of 3"),
-], ids=["hio-huber-descent-overflow"])
-def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys, alg, flag,
-                                                              value, message):
-    # the Huber gradient of a delta just above the smallest accepted one
-    # overflows in the descent's line search
+def test_retrieve_overflowing_setting_is_a_numerical_failure(tmp_path, capsys):
+    # at this TV smoothing the square of epsilon * max|g| overflows in the
+    # first descent step
     make_inputs(tmp_path)
-    code = main(["retrieve",
-                 "--magnitude", str(tmp_path / "magnitude.prf1"),
-                 "--mask", str(tmp_path / "support.prf1"),
-                 "--alg", alg, "--iters", "3", flag, value,
-                 "--out", str(tmp_path / "big")])
+    with patch.object(sparsity, "EPSILON", 1e300):
+        code = main(["retrieve",
+                     "--magnitude", str(tmp_path / "magnitude.prf1"),
+                     "--mask", str(tmp_path / "support.prf1"),
+                     "--alg", "hio-tv", "--iters", "3",
+                     "--out", str(tmp_path / "big")])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
-    assert message in err
+    assert "in the descent at iteration 1 of 3" in err
     assert "Traceback" not in err
     assert not (tmp_path / "big").exists()
 
@@ -537,8 +536,9 @@ def test_sweep_invalid_json(tmp_path):
 
 
 def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
-    # epsilon and t_init are solver constants, not settings
-    for key in ("n_iner_steps", "epsilon", "t_init"):
+    # epsilon and t_init are solver constants, not settings, and Huber's
+    # delta is always the median
+    for key in ("n_iner_steps", "epsilon", "t_init", "delta"):
         cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-tv"])
         payload = json.loads(cfg.read_text())
         payload["retrieval"][key] = 3
@@ -548,15 +548,15 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
         assert not (tmp_path / "sweep_out").exists()
 
 
-# epsilon and t_init are solver constants, not settings: whatever the value,
-# the key itself is refused.
+# epsilon, t_init and delta are not settings: whatever the value, the key
+# itself is refused.
 @pytest.mark.parametrize("key, value, message", [
-    ("epsilon", -1, "unknown retrieval keys"), ("delta", "foo", "invalid penalty settings"),
-    ("delta", True, "invalid penalty settings"), ("t_init", 0, "unknown retrieval keys"),
+    ("epsilon", -1, "unknown retrieval keys"), ("delta", "foo", "unknown retrieval keys"),
+    ("delta", True, "unknown retrieval keys"), ("t_init", 0, "unknown retrieval keys"),
     ("n_inner_steps", 2.5, "invalid penalty settings"), ("epsilon", True, "unknown retrieval keys"),
     ("t_init", True, "unknown retrieval keys"), ("t_init", float("inf"), "unknown retrieval keys"),
     ("epsilon", float("nan"), "unknown retrieval keys"),
-    ("delta", float("inf"), "invalid penalty settings"), ("delta", 1e300, "normal square")],
+    ("delta", float("inf"), "unknown retrieval keys"), ("delta", 1e300, "unknown retrieval keys")],
     ids=["epsilon--1", "delta-foo", "delta-True", "t_init-0", "n_inner_steps-2.5", "epsilon-True",
          "t_init-True", "t_init-inf", "epsilon-nan", "delta-inf", "delta-1e+300"])
 def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value, message):
@@ -569,20 +569,20 @@ def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key,
     assert not (tmp_path / "sweep_out").exists()
 
 
-@pytest.mark.parametrize("delta", ["median", 0.05])
-@pytest.mark.parametrize("alg", ["hio", "hio-tv", "hio-huber"])
-def test_sweep_reports_one_final_penalty(tmp_path, alg, delta):
+@pytest.mark.parametrize("alg", ["hio", "hio-tv", "hio-huber"],
+                         ids=["hio-median", "hio-tv-median", "hio-huber-median"])
+def test_sweep_reports_one_final_penalty(tmp_path, alg):
     cfg = sweep_config(tmp_path, seeds=[0], algorithms=[alg])
     payload = json.loads(cfg.read_text())
     payload["phantom"]["kind"] = "gray"
-    payload["retrieval"]["delta"] = delta
     cfg.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg)]) == 0
     out = tmp_path / "sweep_out"
     cell = json.loads((out / f"recon_{alg}_00000000.json").read_text())
     aggregate = json.loads((out / "aggregate.json").read_text())
     if alg != "hio":
-        assert cell["config"]["delta_rule"] == delta
+        assert set(cell["config"]) - {"algorithm", "beta", "n_iterations", "seed"} == {
+            "penalty", "n_inner_steps"}
     assert aggregate["algorithms"][alg]["per_run"][0]["final_penalty"] == cell["final_penalty"]
 
 
@@ -623,16 +623,15 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds
 
 
 def test_sweep_failure_names_its_exception(tmp_path):
-    # the Huber gradient of this delta overflows in the first descent step
-    # of every hio-huber cell; str() of the error alone does not name its type
-    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio", "hio-huber"], iters=2)
-    payload = json.loads(cfg.read_text())
-    payload["retrieval"]["delta"] = 1.5e-154
-    cfg.write_text(json.dumps(payload))
-    assert main(["sweep", "--config", str(cfg)]) == EXIT_DATA
+    # at this TV smoothing the square of epsilon * max|g| overflows in the
+    # first descent step of every hio-tv cell; str() of the error alone does
+    # not name its type. One job runs the cells in this process, under the patch.
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio", "hio-tv"], iters=2)
+    with patch.object(sparsity, "EPSILON", 1e300):
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == EXIT_DATA
     aggregate = json.loads((tmp_path / "sweep_out" / "aggregate.json").read_text())
     (failure,) = aggregate["failures"]
-    assert (failure["algorithm"], failure["seed"]) == ("hio-huber", 0)
+    assert (failure["algorithm"], failure["seed"]) == ("hio-tv", 0)
     assert failure["error"].startswith("FloatingPointError: ")
     assert set(aggregate["algorithms"]) == {"hio"}
 

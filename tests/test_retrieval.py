@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def test_blow_up_stops_at_the_iteration_it_happens(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["none", "tv"])
 def test_non_finite_penalty_stops_at_the_iteration_it_happens(monkeypatch, kind):
-    # a finite field can still have an infinite penalty (a Huber delta whose
-    # square is tiny); the trace would then hold inf, which is not JSON
+    # a finite field can still have an infinite penalty (its gradient's
+    # squares can overflow); the trace would then hold inf, which is not JSON
     _, mask, magnitude = small_problem()
     real_value = retrieval.tv_value
     calls = []
@@ -332,15 +333,15 @@ def test_non_finite_penalty_stops_at_the_iteration_it_happens(monkeypatch, kind)
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("delta, overflows", [(1.5e-154, True), (1e-150, False)])
-def test_overflow_in_the_descent_stops_the_run(delta, overflows):
-    # the Huber gradient scales as 1/delta**2, so just above the smallest
-    # accepted delta the line search's ||d||**2 overflows; left to numpy's
-    # warning, every step returned t = 0 and the run exited normally
+@pytest.mark.parametrize("epsilon, overflows", [(1e300, True), (sparsity.EPSILON, False)])
+def test_overflow_in_the_descent_stops_the_run(epsilon, overflows):
+    # TV's smoothing is epsilon * max|g|: at 1e300 its square overflows in
+    # the first descent step; left to numpy's warning (or Python's float
+    # power), the run would go on or fail without naming the iteration
     spec = PhantomSpec(image_size=32, support_size=12, kind="gray", pattern_seed=0)
     magnitude = magnitude_of(forward_transform(gray_phase_phantom(spec)))
-    cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="huber", delta_rule=delta))
-    with warnings.catch_warnings():
+    cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind="tv"))
+    with patch.object(sparsity, "EPSILON", epsilon), warnings.catch_warnings():
         warnings.simplefilter("error")
         if overflows:
             with pytest.raises(FloatingPointError, match="in the descent at iteration 1 of 3"):
@@ -411,6 +412,26 @@ def test_rejects_all_zero_magnitude():
                 RetrievalConfig(n_iterations=1, penalty=PenaltySpec(kind="none")))
 
 
+@pytest.mark.parametrize("kind", ["none", "tv", "huber"])
+@pytest.mark.parametrize("scale, message", [(1e-300, "norm of 0.0"), (1e152, "norm of inf"),
+                                            (0.0, "is all zero")])
+def test_magnitude_whose_norm_is_not_a_positive_float_is_bad_data(monkeypatch, kind, scale,
+                                                                  message):
+    # the residual is divided by the data's norm: squares that underflow to
+    # 0 or overflow to inf are refused before the first iteration, quietly
+    spec = PhantomSpec(image_size=32, support_size=12, kind="gray", pattern_seed=0)
+    magnitude = magnitude_of(forward_transform(gray_phase_phantom(spec)))
+    calls = []
+    monkeypatch.setattr(retrieval, "inverse_transform", lambda *a, **k: calls.append(1))
+    cfg = RetrievalConfig(n_iterations=3, penalty=PenaltySpec(kind=kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as caught:
+            run_hio(magnitude * scale, make_support(32, 12), cfg)
+    assert not isinstance(caught.value, SettingError)
+    assert calls == []
+
+
 # ------------------------------------------------------------ loop structure
 
 @pytest.mark.parametrize("kind", ["none", "tv", "huber"])
@@ -441,17 +462,15 @@ def test_loop_calls_each_stage_by_its_module_name_once_per_iteration(monkeypatch
     assert counts == {name: 3 for name in stages}
 
 
-@pytest.mark.parametrize("delta_rule", ["median", 0.3])
-@pytest.mark.parametrize("as_window", [False, True])
-def test_huber_penalty_value_differences_the_window_once(monkeypatch, delta_rule, as_window):
+@pytest.mark.parametrize("as_window", [False, True], ids=["False-median", "True-median"])
+def test_huber_penalty_value_differences_the_window_once(monkeypatch, as_window):
     # one gradient serves select_delta and huber_value, both still called
     # through the retrieval module, and the value keeps its bits
     truth, mask, _ = small_problem()
     mask[mask.nonzero()[0][0], mask.nonzero()[1][0]] = False  # ragged
-    spec = PenaltySpec(kind="huber", delta_rule=delta_rule)
+    spec = PenaltySpec(kind="huber")
     region = sparsity.support_window(mask) if as_window else mask
-    delta = sparsity.select_delta(truth, mask) if delta_rule == "median" else delta_rule
-    expected = sparsity.huber_value(truth, delta, mask)
+    expected = sparsity.huber_value(truth, sparsity.select_delta(truth, mask), mask)
     calls = []
     for module, name in [(retrieval, "gradient_of"), (sparsity, "gradient_of"),
                          (retrieval, "select_delta"), (retrieval, "huber_value")]:
@@ -462,7 +481,7 @@ def test_huber_penalty_value_differences_the_window_once(monkeypatch, delta_rule
     value = retrieval.penalty_value(truth, region, spec)
     assert np.float64(value).tobytes() == np.float64(expected).tobytes()
     assert calls.count("gradient_of") == 1
-    assert calls.count("select_delta") == (delta_rule == "median")
+    assert calls.count("select_delta") == 1
     assert calls.count("huber_value") == 1
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -563,10 +564,7 @@ def reference_descent(field, mask, spec, iterates=None):
             grad = tv_gradient(sub, eps)
             penalty = lambda g: smoothed_tv_value(g, eps, submask)  # noqa: E731
         else:
-            if spec.delta_rule == "median":
-                delta = select_delta(sub, submask)
-            else:
-                delta = float(spec.delta_rule)
+            delta = select_delta(sub, submask)
             grad = huber_gradient(sub, delta)
             penalty = lambda g, d=delta: huber_value(g, d, submask)  # noqa: E731
         direction = np.where(submask, -grad, 0)
@@ -605,11 +603,7 @@ def descent_cases(draw):
         mask = rng.random((h, w)) < draw(st.floats(0.2, 0.9))
         mask[rng.integers(h), rng.integers(w)] = True
     kind = draw(st.sampled_from(["tv", "huber"]))
-    spec = PenaltySpec(
-        kind=kind,
-        n_inner_steps=draw(st.integers(1, 6)),
-        delta_rule=draw(st.sampled_from(["median", 0.05, 1.0, 20.0])),
-    )
+    spec = PenaltySpec(kind=kind, n_inner_steps=draw(st.integers(1, 6)))
     return field, mask, spec, draw(st.sampled_from([0.02, 1.0, 50.0]))
 
 
@@ -634,7 +628,7 @@ def test_descent_step_never_raises_the_penalty(case):
         eps = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
         penalty = lambda g: smoothed_tv_value(g, eps, mask)  # noqa: E731
     else:
-        delta = select_delta(field, mask) if spec.delta_rule == "median" else spec.delta_rule
+        delta = select_delta(field, mask)
         penalty = lambda g: huber_value(g, delta, mask)  # noqa: E731
     one_step = dataclasses.replace(spec, n_inner_steps=1)
     with patch.object(sparsity, "T_INIT", t_init):
@@ -662,28 +656,20 @@ def _layout(field, order):
 
 
 @pytest.mark.parametrize("order", ["C", "F", "strided"])
-@pytest.mark.parametrize("kind, delta_rule", [("tv", "median"), ("huber", "median"),
-                                              ("huber", 0.05)])
-def test_descent_on_the_paper_window_is_bit_equal_to_public_composition(kind, delta_rule,
-                                                                       order):
+@pytest.mark.parametrize("kind", ["tv", "huber"], ids=["tv-median", "huber-median"])
+def test_descent_on_the_paper_window_is_bit_equal_to_public_composition(kind, order):
     field, mask = _paper_window_field()
-    spec = PenaltySpec(kind=kind, delta_rule=delta_rule)
+    spec = PenaltySpec(kind=kind)
     reference = reference_descent(field, mask, spec)
     assert not np.array_equal(reference, field)  # the steps moved the field
     got = sparsity_descent(_layout(field, order), mask, spec)
     assert got.tobytes() == reference.tobytes()
 
 
-# Every invalid PenaltySpec field and its error. A fixed delta's square must
-# be a finite, normal float: (1.49e-154)**2 is subnormal, (1.5e-154)**2 is
-# not; (1.35e154)**2 overflows, (1.3e154)**2 does not.
+# Every invalid PenaltySpec field and its error.
 BAD_PENALTY_FIELDS = [
     ("kind", "wavelet", "unknown penalty kind"), ("n_inner_steps", 2.5, "n_inner_steps"),
     ("n_inner_steps", True, "n_inner_steps"), ("n_inner_steps", -1, "n_inner_steps"),
-    ("delta_rule", "mean", "unknown delta rule"), ("delta_rule", -1.0, "fixed delta"),
-    ("delta_rule", 0.0, "fixed delta"), ("delta_rule", 1e-300, "normal square"),
-    ("delta_rule", 1e-160, "normal square"), ("delta_rule", 1.49e-154, "normal square"),
-    ("delta_rule", 1.35e154, "normal square"), ("delta_rule", 1e200, "normal square"),
 ]
 
 
@@ -691,19 +677,8 @@ def test_penalty_spec_validation():
     for key, value, message in BAD_PENALTY_FIELDS:
         with pytest.raises(SettingError, match=message):
             PenaltySpec(**{"kind": "huber", key: value})
-    assert PenaltySpec(kind="huber", delta_rule=1.5e-154).delta_rule == 1.5e-154
-    assert PenaltySpec(kind="huber", delta_rule=1.3e154).delta_rule == 1.3e154
-
-
-@pytest.mark.parametrize("delta", [True, False, [0.5], None])
-def test_fixed_delta_must_be_a_real_number(delta):
-    with pytest.raises(SettingError, match="real number"):
-        PenaltySpec(kind="huber", delta_rule=delta)
-
-
-def test_fixed_delta_is_stored_as_float():
-    spec = PenaltySpec(kind="huber", delta_rule=2)
-    assert spec.delta_rule == 2.0 and type(spec.delta_rule) is float
+    # Huber's delta is always the per-step median: there is no field to set it
+    assert [f.name for f in dataclasses.fields(PenaltySpec)] == ["kind", "n_inner_steps"]
 
 
 # ------------------------------------------------------------ out= arguments
@@ -824,6 +799,31 @@ def test_stencils_still_report_an_overflow_inside_the_grid(axis):
                 stencil(*args)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 stencil(*args)
+
+
+@pytest.mark.parametrize("kind", ["tv", "huber"])
+def test_an_overflow_in_the_descent_raises_inside_its_block(kind):
+    # at x1e200 the first gradient's squares overflow; neither it nor TV's
+    # squared smoothing may escape as a warning or a bare OverflowError
+    rng = np.random.default_rng(67)
+    f = 1e200 * (rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            sparsity_descent(f, make_support(32, 12), PenaltySpec(kind=kind))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            smoothed_tv_value(f[:2, :2] / 1e200, 1e200)
+
+
+@pytest.mark.parametrize("field", [[[6.36836718e-162, 0.0]], [[6.36836718e-162, 0.0, 0.0]]])
+def test_huber_descent_takes_no_step_on_a_field_too_flat_for_float64(field):
+    # the median delta's square is subnormal (two pixels) or 0 (three, the
+    # 1e-6 * peak fallback): 1/(delta*r) would overflow or divide by zero
+    f = np.array(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sparsity_descent(f, np.ones(f.shape, dtype=bool), PenaltySpec(kind="huber"))
+    assert out.tobytes() == f.astype(np.complex128).tobytes()
 
 
 def _quotient_gradient(grad, scale):
@@ -1014,13 +1014,11 @@ def test_private_stencils_match_the_public_ones_bit_for_bit(f, p):
             _old_discrete_divergence(x, y).tobytes())
 
 
-@pytest.mark.parametrize("delta_rule", ["median", 0.7])
-@pytest.mark.parametrize("ragged", [False, True])
-def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, delta_rule, ragged):
-    """A fixed-delta Huber step carries its p0 and r over from the accepted
-    trial; a median step recomputes them after select_delta. Either way p0
-    is huber_value's float of the step's iterate and delta, and the scale
-    huber_gradient gets is sqrt(|grad|^2 + delta^2) of that iterate."""
+@pytest.mark.parametrize("ragged", [False, True], ids=["False-median", "True-median"])
+def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, ragged):
+    """Each Huber step recomputes p0 and r after select_delta: p0 is
+    huber_value's float of the step's iterate and median delta, and the
+    scale huber_gradient gets is sqrt(|grad|^2 + delta^2) of that iterate."""
     f = _step_edge_with_noise(n=12, seed=65)
     mask = np.ones(f.shape, dtype=bool)
     mask[0, :3] = not ragged
@@ -1043,12 +1041,10 @@ def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, delta_rule, r
     monkeypatch.setattr(sparsity, "select_delta", selecting)
     monkeypatch.setattr(sparsity, "huber_gradient", differentiating)
     monkeypatch.setattr(sparsity, "backtracking_step", stepping)
-    sparsity_descent(f, mask, PenaltySpec(kind="huber", n_inner_steps=5, delta_rule=delta_rule))
-    assert len(steps) == len(scales) == 5
-    assert len(deltas) == (5 if delta_rule == "median" else 0)
+    sparsity_descent(f, mask, PenaltySpec(kind="huber", n_inner_steps=5))
+    assert len(steps) == len(scales) == len(deltas) == 5
     submask = support_window(mask).mask
-    for i, ((sub, p0), scale) in enumerate(zip(steps, scales)):
-        delta = deltas[i] if delta_rule == "median" else delta_rule
+    for (sub, p0), scale, delta in zip(steps, scales, deltas):
         assert type(p0) is float
         assert np.float64(p0).tobytes() == np.float64(huber_value(sub, delta, submask)).tobytes()
         assert scale.tobytes() == np.sqrt(gradient_of(sub).mag_sq + delta**2).tobytes()
