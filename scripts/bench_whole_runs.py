@@ -37,6 +37,9 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   The comparison is "resolved" only when the two sides' ranges of wall
   time do not overlap: a single run per side cannot tell a change from
   the box's load, which moved one tree's suite from 146 s to 189 s.
+  Each side's "same_summary" is true when every round of that tree
+  printed the same summary line, timing aside; false marks a suite whose
+  verdict is not a function of the tree.
 - Source size: the lines of the tree's `src/sparsepr/*.py` (newlines, as
   `wc -l` counts them) and its code lines, the lines that hold a token
   other than a comment, a docstring or layout (newline, indent, dedent).
@@ -54,6 +57,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -167,6 +171,11 @@ def tier1_run(tree: Path) -> dict:
             "summary": done.stdout.strip().splitlines()[-1]}
 
 
+def counts_of(summary: str) -> str:
+    """A pytest summary line without its timing: "460 passed in 136.52s (0:02:16)" -> "460 passed"."""
+    return re.sub(r" in [0-9.]+s\b.*$", "", summary)
+
+
 def tier1(trees: dict) -> dict:
     """TIER1_ROUNDS alternating runs of each tree's suite, and whether their
     wall-time ranges are apart."""
@@ -175,6 +184,7 @@ def tier1(trees: dict) -> dict:
         for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
             runs[side].append(tier1_run(trees[side]))
     result = {side: {"min_s": min(r["seconds"] for r in rs), "max_s": max(r["seconds"] for r in rs),
+                     "same_summary": len({counts_of(r["summary"]) for r in rs}) == 1,
                      "runs": rs} for side, rs in runs.items()}
     parent, change = result["parent"], result["change"]
     result["resolved"] = parent["max_s"] < change["min_s"] or change["max_s"] < parent["min_s"]

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,18 +125,21 @@ def test_writer_rejects_empty_grid(tmp_path):
     assert not (tmp_path / "e.prf1").exists()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     width=st.integers(1, 12),
     height=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     complex_=st.booleans(),
 )
-def test_round_trip_property(tmp_path_factory, width, height, seed, complex_):
+def test_round_trip_property(width, height, seed, complex_):
     rng = np.random.default_rng(seed)
     grid = rng.normal(size=(height, width))
     if complex_:
         grid = grid + 1j * rng.normal(size=(height, width))
-    path = tmp_path_factory.mktemp("prop") / "g.prf1"
-    write_field_file(grid, path)
-    assert np.array_equal(read_field_file(path), grid)
+    # not tmp_path_factory: a fixture's repr (addresses, basetemp number)
+    # would make the printed examples differ between runs of the same draws
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.prf1"
+        write_field_file(grid, path)
+        assert np.array_equal(read_field_file(path), grid)

@@ -188,7 +188,7 @@ def spectra_and_targets(draw, max_target=1e300):
     return re + 1j * im, target
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets())
 def test_impose_magnitude_modulus_is_target_within_a_few_ulp(case):
     s, t = case
@@ -196,7 +196,7 @@ def test_impose_magnitude_modulus_is_target_within_a_few_ulp(case):
     assert np.all(np.abs(np.abs(out) - t) <= 4 * np.spacing(t))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets(), st.data())
 def test_impose_magnitude_zero_modulus_gives_exactly_target(case, data):
     s, t = case
@@ -207,7 +207,7 @@ def test_impose_magnitude_zero_modulus_gives_exactly_target(case, data):
     assert out[zero].tobytes() == (t[zero] + 0j).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets())
 def test_impose_magnitude_phasor_matches_exp_of_angle(case):
     s, _ = case
@@ -215,7 +215,7 @@ def test_impose_magnitude_phasor_matches_exp_of_angle(case):
     assert np.max(np.abs(phasor - np.exp(1j * np.angle(s)))) <= 1e-15
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets())
 def test_impose_magnitude_leaves_the_spectrum_untouched(case):
     s, t = case
@@ -224,7 +224,7 @@ def test_impose_magnitude_leaves_the_spectrum_untouched(case):
     assert s.tobytes() == before
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets(max_target=np.finfo(np.float64).max), st.data())
 def test_impose_magnitude_output_finite_with_subnormal_samples(case, data):
     s, t = case
@@ -235,7 +235,7 @@ def test_impose_magnitude_output_finite_with_subnormal_samples(case, data):
 
 # ------------------------------------------------------------ out= arguments
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 17), st.integers(2, 17), st.integers(0, 2**32 - 1))
 def test_transforms_into_out_are_byte_equal(h, w, seed):
     field = random_field((h, w), seed) * 10.0 ** np.random.default_rng(seed).uniform(-100, 100)
@@ -247,7 +247,7 @@ def test_transforms_into_out_are_byte_equal(h, w, seed):
     assert field.tobytes() == before
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spectra_and_targets(), st.data())
 def test_impose_magnitude_into_out_with_the_modulus_is_byte_equal(case, data):
     s, t = case

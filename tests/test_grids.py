@@ -41,7 +41,7 @@ def _complex(re, im):
 _SHAPES = st.shared(st.tuples(st.integers(2, 5), st.integers(2, 5)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(hnp.arrays(np.float64, _SHAPES, elements=_PARTS),
        hnp.arrays(np.float64, _SHAPES, elements=_PARTS))
 def test_as_complex_field_rejects_exactly_what_the_full_scan_rejects(re, im):
@@ -115,7 +115,7 @@ def _brute_force_centrosymmetric(mask):
     return True
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     width=st.integers(2, 8),
     height=st.integers(2, 8),
@@ -138,7 +138,7 @@ def _loop_norm(a):
     return float(np.sqrt(sum(abs(complex(v)) ** 2 for v in np.ravel(a))))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     width=st.integers(1, 40),
     height=st.integers(1, 40),
@@ -223,7 +223,7 @@ def test_check_number_rejects_non_numbers(value):
 _SPECIAL_SAMPLES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 1e308]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6),
                   elements=st.floats(allow_nan=True, allow_infinity=True)
                   | st.sampled_from(_SPECIAL_SAMPLES)))

@@ -526,7 +526,7 @@ ENGINE_PENALTIES = [PenaltySpec(kind="none"), PenaltySpec(kind="tv", n_inner_ste
                     PenaltySpec(kind="huber", n_inner_steps=3)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
 def test_final_field_is_zero_outside_support_property(problem, penalty):
     magnitude, mask, seed, n_iterations, schedule = problem
@@ -534,7 +534,7 @@ def test_final_field_is_zero_outside_support_property(problem, penalty):
     assert not report.final_field[~mask].any()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(retrieval_problems(), st.sampled_from(ENGINE_PENALTIES))
 def test_same_seed_gives_the_same_bits(problem, penalty):
     magnitude, mask, seed, n_iterations, schedule = problem
@@ -545,7 +545,7 @@ def test_same_seed_gives_the_same_bits(problem, penalty):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(retrieval_problems(), st.sampled_from(["tv", "huber"]))
 def test_zero_inner_steps_is_plain_hio_property(problem, kind):
     magnitude, mask, seed, n_iterations, schedule = problem

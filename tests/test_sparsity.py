@@ -169,7 +169,7 @@ def huber_cases(draw):
     return field, delta, mask
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(huber_cases())
 def test_huber_matches_its_textbook_form(case):
     """huber_value and huber_gradient against sum[sqrt(1 + |grad|^2/delta^2) - 1]
@@ -349,7 +349,7 @@ def delta_cases(draw):
     return field, region, draw(st.booleans())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(delta_cases())
 def test_select_delta_is_bit_equal_to_the_median_composition(case):
     field, region, with_grad = case
@@ -607,7 +607,7 @@ def descent_cases(draw):
     return field, mask, spec, draw(st.sampled_from([0.02, 1.0, 50.0]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(descent_cases())
 def test_descent_is_bit_equal_to_public_composition(case):
     field, mask, spec, t_init = case
@@ -618,7 +618,7 @@ def test_descent_is_bit_equal_to_public_composition(case):
     assert carried.tobytes() == reference.tobytes()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(descent_cases())
 def test_descent_step_never_raises_the_penalty(case):
     field, mask, spec, t_init = case
@@ -742,7 +742,7 @@ def _strided_outs(shape, dtype=np.complex128):
             np.full((h + 1, w + 2), np.nan, dtype)[1:, 1:-1])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(signed_zero_fields(), signed_zero_fields())
 def test_stencils_match_their_first_form_bit_for_bit(f, p):
     old = _old_discrete_gradient(f)
@@ -860,7 +860,7 @@ def _with_parts_at_zero(grad):
     return Gradient(gx, gy, grad.mag_sq)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(signed_zero_fields(), st.sampled_from(GRADIENT_SCALES),
        st.sampled_from([None, *EXTREME_MODULI]), st.booleans())
 def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, modulus, zeroed):
@@ -985,7 +985,7 @@ def test_backtracking_into_out_keeps_the_accepted_trial(t_init):
         assert len(trials) > 2  # p0, then rejected trials before the accepted one
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(descent_cases(), descent_cases())
 def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
     work = Workspace()
@@ -1000,7 +1000,7 @@ def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
 
 # ------------------------------------------------------------ the lean descent step
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(signed_zero_fields(), signed_zero_fields())
 def test_private_stencils_match_the_public_ones_bit_for_bit(f, p):
     gx, gy = np.full_like(f, np.nan), np.full_like(f, np.nan)
@@ -1050,7 +1050,7 @@ def test_descent_huber_p0_is_bit_equal_to_huber_value(monkeypatch, ragged):
         assert scale.tobytes() == np.sqrt(gradient_of(sub).mag_sq + delta**2).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_backtracking_trials_keep_every_signed_zero(data):
     """Each trial is field + t*(-gradient) bit for bit, whatever zeros the
@@ -1071,7 +1071,7 @@ def test_backtracking_trials_keep_every_signed_zero(data):
     assert [trial.tobytes() for trial in trials] == expected
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(descent_cases(), st.integers(0, 2**32 - 1))
 def test_descent_iterates_keep_every_signed_zero(case, seed):
     """Every accepted trial, outside pixels of the window included, is the
@@ -1113,7 +1113,7 @@ def real_field_cases(draw):
     return field, {"none": None, "mask": mask, "window": support_window(mask)}[region]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(real_field_cases())
 def test_penalty_values_of_a_real_field_are_those_of_its_complex_cast(case):
     """|a + 0j| is exactly |a|, so casting a real field on entry keeps its
@@ -1129,7 +1129,7 @@ def test_penalty_values_of_a_real_field_are_those_of_its_complex_cast(case):
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(real_field_cases(), st.sampled_from(["tv", "huber"]))
 def test_gradients_and_descent_of_a_real_field_are_complex128(case, kind):
     field, region = case
