@@ -1,15 +1,6 @@
 """Sparsity-assisted iterative phase retrieval from Fourier magnitude data."""
 
-from .fieldfile import (
-    BadMagicError,
-    EmptyGridError,
-    FieldFileError,
-    TrailingBytesError,
-    TruncatedFileError,
-    UnknownDtypeError,
-    read_field_file,
-    write_field_file,
-)
+from .fieldfile import FieldFileError, read_field_file, write_field_file
 from .grids import SettingError
 from .fourier import forward_transform, impose_magnitude, inverse_transform, magnitude_of
 from .retrieval import (

@@ -3,8 +3,8 @@
 Subcommands: phantom, forward, retrieve, sweep, metrics. All outputs are
 deterministic for a fixed flag set (seeds are explicit); the only
 wall-clock value in any report is the timing field. Exit codes: 0 ok,
-1 usage error (a SettingError), 2 data/file error (any other ValueError),
-3 numerical failure.
+1 usage error (a SettingError), 2 data/file error (an OSError or any other
+ValueError), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _load_mask(path) -> np.ndarray:
 def cmd_phantom(args) -> int:
     spec = experiment.PhantomSpec(
         image_size=args.size, support_size=args.support, kind=args.kind,
-        phase_step=args.step, phase_range=args.range, pattern_seed=args.seed)
+        pattern_seed=args.seed)
     truth = experiment.phantom(spec)
     mask = experiment.make_support(spec.image_size, spec.support_size)
     out = Path(args.out)
@@ -101,7 +101,7 @@ def cmd_phantom(args) -> int:
 # ---------------------------------------------------------------- forward
 
 def cmd_forward(args) -> int:
-    truth = read_field_file(args.truth)
+    truth = _load_finite(args.truth, "truth")
     mag = fourier.magnitude_of(fourier.forward_transform(truth))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +154,7 @@ def cmd_retrieve(args) -> int:
             print(f"warning: {name} ignored for --alg {args.alg} (no penalty)", file=sys.stderr)
     config = retrieval.RetrievalConfig(
         beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
-    magnitude = read_field_file(args.magnitude)
+    magnitude = _load_finite(args.magnitude, "magnitude")
     mask = _load_mask(args.mask)
     report = retrieval.run_hio(magnitude, mask, config)
     out = Path(args.out)
@@ -316,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("binary", "gray"), default=experiment.PhantomSpec.kind)
     p.add_argument("--size", type=int, default=128)
     p.add_argument("--support", type=int, default=60)
-    p.add_argument("--step", type=float, default=experiment.PhantomSpec.phase_step,
-                   help="binary phase step in radians (default %(default).4f)")
-    p.add_argument("--range", type=float, default=experiment.PhantomSpec.phase_range,
-                   help="gray phase range in radians (default %(default).4f)")
     p.add_argument("--seed", type=int, default=experiment.PhantomSpec.pattern_seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_phantom)
@@ -363,7 +359,7 @@ def main(argv=None) -> int:
     except SettingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FieldFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # FloatingPointError, OverflowError

@@ -16,14 +16,17 @@ from .grids import SettingError, as_mask, bounding_box, check_number, check_same
 
 TWIN_THRESHOLD = 0.35
 
+# The phase levels of the two phantom kinds: the binary kind's two levels
+# are 0 and BINARY_PHASE_STEP; the gray kind's phase spans [0, GRAY_PHASE_RANGE].
+BINARY_PHASE_STEP = 2.0 * np.pi / 3.0
+GRAY_PHASE_RANGE = 5.0 * np.pi / 6.0
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
     image_size: int
     support_size: int
     kind: str = "binary"  # "binary" | "gray"
-    phase_step: float = 2.0 * np.pi / 3.0
-    phase_range: float = 5.0 * np.pi / 6.0
     pattern_seed: int = 0
 
     def __post_init__(self):
@@ -31,8 +34,6 @@ class PhantomSpec:
             raise SettingError(f"unknown phantom kind {self.kind!r}")
         for name in ("image_size", "support_size", "pattern_seed"):
             check_number(name, getattr(self, name), integer=True)
-        for name in ("phase_step", "phase_range"):
-            check_number(name, getattr(self, name))
         if self.pattern_seed < 0:
             raise SettingError("pattern_seed must be >= 0")
         if self.image_size % 2 or self.support_size % 2:
@@ -93,10 +94,9 @@ def triangular_truncation(mask) -> np.ndarray:
     return out
 
 
-# Rejection-sampling budget of the phantom generators. At the default
-# phase step about one draw in three is accepted (at most 44 draws over
-# 2,400 seeds and sizes); a binary step below about 1.9 rad, or any
-# object that is its own twin (step 0 or 2*pi), is rejected on every draw.
+# Rejection-sampling budget of the phantom generators. About one draw in
+# three is accepted (at most 44 draws over 2,400 seeds and sizes); on a
+# 2-pixel support every draw is flat, so every draw is rejected.
 MAX_PHANTOM_DRAWS = 500
 
 
@@ -129,8 +129,7 @@ def _sample_distinct_block(draw, spec: PhantomSpec) -> np.ndarray:
             return block
     raise SettingError(
         f"no {spec.kind} phantom distinguishable from its twin in {MAX_PHANTOM_DRAWS} draws "
-        f"(phase_step={spec.phase_step}, phase_range={spec.phase_range}, "
-        f"support_size={spec.support_size}, pattern_seed={spec.pattern_seed})"
+        f"(support_size={spec.support_size}, pattern_seed={spec.pattern_seed})"
     )
 
 
@@ -141,21 +140,21 @@ def _embed(block, spec: PhantomSpec) -> np.ndarray:
 
 
 def binary_phase_phantom(spec: PhantomSpec) -> np.ndarray:
-    """Unit-amplitude object with a two-level {0, phase_step} blocky phase."""
+    """Unit-amplitude object with a two-level {0, BINARY_PHASE_STEP} blocky phase."""
     if spec.kind != "binary":
         raise ValueError("spec.kind must be 'binary'")
     rng = np.random.default_rng(spec.pattern_seed)
 
     def draw():
         levels = _xor_rectangles(rng, spec.support_size)
-        return levels, np.exp(1j * levels * spec.phase_step)
+        return levels, np.exp(1j * levels * BINARY_PHASE_STEP)
 
     return _embed(_sample_distinct_block(draw, spec), spec)
 
 
 def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
     """Unit-amplitude object whose phase mixes smooth low-frequency content
-    with sharp-edged patches, rescaled to [0, phase_range] on the support."""
+    with sharp-edged patches, rescaled to [0, GRAY_PHASE_RANGE] on the support."""
     if spec.kind != "gray":
         raise ValueError("spec.kind must be 'gray'")
     rng = np.random.default_rng(spec.pattern_seed)
@@ -177,7 +176,7 @@ def gray_phase_phantom(spec: PhantomSpec) -> np.ndarray:
         smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
         phase = levels + 0.35 * smooth
         phase -= phase.min()
-        phase *= spec.phase_range / phase.max()
+        phase *= GRAY_PHASE_RANGE / phase.max()
         return levels, np.exp(1j * phase)
 
     return _embed(_sample_distinct_block(draw, spec), spec)

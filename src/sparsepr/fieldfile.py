@@ -31,28 +31,8 @@ DTYPE_COMPLEX = 1
 _DTYPES = {DTYPE_REAL: np.dtype("<f8"), DTYPE_COMPLEX: np.dtype("<c16")}
 
 
-class FieldFileError(Exception):
-    """Base class for PRF1 read/write failures."""
-
-
-class BadMagicError(FieldFileError):
-    pass
-
-
-class TruncatedFileError(FieldFileError):
-    pass
-
-
-class UnknownDtypeError(FieldFileError):
-    pass
-
-
-class EmptyGridError(FieldFileError):
-    """The header declares a zero width or height."""
-
-
-class TrailingBytesError(FieldFileError):
-    """Bytes follow the payload the header promises."""
+class FieldFileError(ValueError):
+    """A PRF1 read or write failure; its message names the file and the fault."""
 
 
 def write_field_file(grid, path) -> None:
@@ -80,25 +60,25 @@ def read_field_file(path) -> np.ndarray:
     except OSError as exc:
         raise FieldFileError(f"cannot read field file {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than the 16-byte header")
+        raise FieldFileError(f"{path}: file shorter than the 16-byte header")
     magic, width, height, code, reserved = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise FieldFileError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if reserved != _RESERVED:
         raise FieldFileError(f"{path}: reserved header bytes 13-15 are {reserved!r}, not zero")
     dtype = _DTYPES.get(code)
     if dtype is None:
-        raise UnknownDtypeError(f"{path}: unknown dtype code {code}")
+        raise FieldFileError(f"{path}: unknown dtype code {code}")
     if width == 0 or height == 0:
-        raise EmptyGridError(f"{path}: header declares an empty {width}x{height} grid")
+        raise FieldFileError(f"{path}: header declares an empty {width}x{height} grid")
     expected = width * height * dtype.itemsize
     payload = raw[_HEADER.size:]
     if len(payload) < expected:
-        raise TruncatedFileError(
+        raise FieldFileError(
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
     if len(payload) > expected:
-        raise TrailingBytesError(
+        raise FieldFileError(
             f"{path}: {len(payload) - expected} bytes after the {expected}-byte payload"
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)

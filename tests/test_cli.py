@@ -61,7 +61,6 @@ def test_magnitude_preview_zero_safe():
 
 @pytest.mark.parametrize("kind", ["binary", "gray"])
 def test_phantom_command(tmp_path, kind):
-    # No --step or --range: the flags' defaults must be PhantomSpec's.
     out = tmp_path / "ph"
     code = main(["phantom", "--kind", kind, "--size", "32", "--support", "12",
                  "--seed", "3", "--out", str(out)])
@@ -80,9 +79,14 @@ def test_phantom_command(tmp_path, kind):
 def test_flag_defaults_are_the_configs_defaults():
     parser = build_parser()
     phantom = parser.parse_args(["phantom"])
+    # one flag per PhantomSpec field, plus --out: a field cannot lose its flag
+    # and no flag can set what the spec does not hold
+    flag_fields = {"size": "image_size", "support": "support_size", "kind": "kind",
+                   "seed": "pattern_seed"}
+    assert set(vars(phantom)) - {"command", "func", "out"} == set(flag_fields)
+    assert sorted(flag_fields.values()) == sorted(f.name for f in dataclasses.fields(PhantomSpec))
     spec = PhantomSpec(image_size=phantom.size, support_size=phantom.support)
-    assert (phantom.kind, phantom.step, phantom.range, phantom.seed) == (
-        spec.kind, spec.phase_step, spec.phase_range, spec.pattern_seed)
+    assert (phantom.kind, phantom.seed) == (spec.kind, spec.pattern_seed)
     run = parser.parse_args(["retrieve", "--magnitude", "m", "--mask", "s"])
     config = retrieval.RetrievalConfig()
     assert (run.beta, run.iters, run.seed) == (config.beta, config.n_iterations, config.seed)
@@ -95,11 +99,16 @@ def test_phantom_rejects_bad_geometry(tmp_path):
 
 
 def test_phantom_self_twin_step_is_usage_error(tmp_path, capsys):
-    code = main(["phantom", "--step", "0", "--size", "32", "--support", "12",
-                 "--out", str(tmp_path / "ph")])
-    assert code == EXIT_USAGE
-    assert "twin" in capsys.readouterr().err
-    assert not (tmp_path / "ph").exists()
+    # the phase step and range are constants of the generators, so neither
+    # flag exists for either kind, whatever its value
+    for kind in ("binary", "gray"):
+        for flag in ("--step", "--range"):
+            for value in ("0", "1"):
+                code = main(["phantom", "--kind", kind, flag, value, "--size", "32",
+                             "--support", "12", "--out", str(tmp_path / "ph")])
+                assert code == EXIT_USAGE
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+                assert not (tmp_path / "ph").exists()
 
 
 def test_phantom_two_pixel_support_is_usage_error(tmp_path, capsys):
@@ -113,10 +122,11 @@ def test_phantom_two_pixel_support_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--step", "--range"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_phantom_non_finite_setting_is_usage_error(tmp_path, capsys, flag, value):
+    # neither flag exists, so its value is never read
     code = main(["phantom", f"{flag}={value}", "--size", "32", "--support", "12",
                  "--out", str(tmp_path / "ph")])
     assert code == EXIT_USAGE
-    assert "must be finite" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
     assert not (tmp_path / "ph").exists()
 
 
@@ -134,6 +144,18 @@ def test_forward_missing_input(tmp_path):
     code = main(["forward", "--truth", str(tmp_path / "nope.prf1"),
                  "--out", str(tmp_path)])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0, np.inf)])
+def test_forward_refuses_non_finite_truth(tmp_path, capsys, value):
+    truth, _, _ = make_inputs(tmp_path)
+    truth[0, 0] = value
+    path = tmp_path / "bad_truth.prf1"
+    write_field_file(truth, path)
+    out = tmp_path / "fw"
+    assert main(["forward", "--truth", str(path), "--out", str(out)]) == EXIT_DATA
+    assert f"truth file {path} has non-finite samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_retrieve_command(tmp_path):
@@ -364,6 +386,33 @@ def _write_mask_with(tmp_path, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_retrieve_refuses_non_finite_magnitude(tmp_path, capsys, value):
+    _, _, magnitude = make_inputs(tmp_path)
+    magnitude[0, 0] = value
+    path = tmp_path / "bad_magnitude.prf1"
+    write_field_file(magnitude, path)
+    out = tmp_path / "run"
+    code = main(["retrieve", "--magnitude", str(path),
+                 "--mask", str(tmp_path / "support.prf1"), "--alg", "hio", "--iters", "2",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert f"magnitude file {path} has non-finite samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrieve_refuses_mask_with_bad_magic(tmp_path, capsys):
+    make_inputs(tmp_path)
+    path = tmp_path / "support.prf1"
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    out = tmp_path / "run"
+    code = main(["retrieve", "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(path), "--alg", "hio", "--iters", "2", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert f"error: {path}: bad magic b'XXXX', expected b'PRF1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_retrieve_refuses_non_finite_mask(tmp_path, capsys, value):
     make_inputs(tmp_path)
     mask = _write_mask_with(tmp_path, value)
@@ -495,8 +544,11 @@ def test_sweep_rejects_repeated_or_no_algorithms(tmp_path, capsys, algorithms):
 
 @pytest.mark.parametrize("key, value", [
     ("pattern_seed", 1.5), ("image_size", 32.0), ("pattern_seed", True), ("pattern_seed", -1),
-    ("phase_step", True), ("phase_step", float("inf")), ("phase_range", float("nan"))])
+    ("phase_step", True), ("phase_step", float("inf")), ("phase_range", float("nan")),
+    ("phase_step", 2.0), ("phase_range", 1.0)])
 def test_sweep_rejects_bad_phantom_setting_before_writing(tmp_path, capsys, key, value):
+    # the phase step and range are generator constants: any value of either key
+    # is refused
     cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
     payload = json.loads(cfg.read_text())
     payload["phantom"][key] = value

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepr.fieldfile import (
-    BadMagicError,
-    EmptyGridError,
-    FieldFileError,
-    TrailingBytesError,
-    TruncatedFileError,
-    UnknownDtypeError,
-    read_field_file,
-    write_field_file,
-)
+from sparsepr.fieldfile import FieldFileError, read_field_file, write_field_file
+
+
+def test_field_file_error_is_a_value_error():
+    # the CLI's data-error exit (2) is "any other ValueError"
+    assert issubclass(FieldFileError, ValueError)
 
 
 def test_zero_field_file_size(tmp_path):
@@ -56,7 +52,7 @@ def test_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(FieldFileError, match="bad magic b'XXXX', expected b'PRF1'"):
         read_field_file(path)
 
 
@@ -65,14 +61,14 @@ def test_truncated_payload(tmp_path):
     write_field_file(np.zeros((4, 4)), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(FieldFileError, match="payload is 120 bytes, header promises 128"):
         read_field_file(path)
 
 
 def test_truncated_header(tmp_path):
     path = tmp_path / "h.prf1"
     path.write_bytes(b"PRF1\x02")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(FieldFileError, match="file shorter than the 16-byte header"):
         read_field_file(path)
 
 
@@ -82,7 +78,7 @@ def test_unknown_dtype(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[12] = 9  # dtype code byte
     path.write_bytes(bytes(raw))
-    with pytest.raises(UnknownDtypeError):
+    with pytest.raises(FieldFileError, match="unknown dtype code 9"):
         read_field_file(path)
 
 
@@ -90,7 +86,7 @@ def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "tail.prf1"
     write_field_file(np.zeros((3, 3)), path)
     path.write_bytes(path.read_bytes() + b"\0" * 8)
-    with pytest.raises(TrailingBytesError):
+    with pytest.raises(FieldFileError, match="8 bytes after the 72-byte payload"):
         read_field_file(path)
 
 
@@ -101,7 +97,8 @@ def test_zero_side_rejected(tmp_path, offset):
     raw = bytearray(path.read_bytes())
     raw[offset : offset + 4] = (0).to_bytes(4, "little")
     path.write_bytes(bytes(raw[:16]))  # a zero-size grid has an empty payload
-    with pytest.raises(EmptyGridError):
+    shape = "0x3" if offset == 4 else "3x0"
+    with pytest.raises(FieldFileError, match=f"header declares an empty {shape} grid"):
         read_field_file(path)
     path.write_bytes(bytes(raw))  # and the old payload is not a fit either
     with pytest.raises(FieldFileError):
