@@ -162,6 +162,29 @@ def test_gray_phantom_distinguishable_from_own_twin():
     assert not m.twin_present
 
 
+@pytest.mark.parametrize("kind, constant, value", [
+    ("binary", "BINARY_PHASE_STEP", 0.0),
+    ("binary", "BINARY_PHASE_STEP", 2 * np.pi),
+    ("gray", "GRAY_PHASE_RANGE", 0.0),
+], ids=["binary-step-0", "binary-step-2pi", "gray-range-0"])
+def test_self_twin_phantom_fails_fast(kind, constant, value, monkeypatch):
+    # with these phase levels every draw is its own twin, so no draw is
+    # accepted; the generator gives up after its draw budget, counted rather
+    # than timed. The levels are module constants, so they are patched here.
+    draw, calls = experiment._xor_rectangles, []
+
+    def counted(rng, s):
+        calls.append(s)
+        return draw(rng, s)
+
+    monkeypatch.setattr(experiment, "_xor_rectangles", counted)
+    monkeypatch.setattr(experiment, constant, value)
+    spec = PhantomSpec(image_size=32, support_size=12, kind=kind)
+    with pytest.raises(SettingError, match="distinguishable from its twin"):
+        phantom(spec)
+    assert len(calls) == experiment.MAX_PHANTOM_DRAWS
+
+
 @pytest.mark.parametrize("kind", ["binary", "gray"])
 def test_two_pixel_support_fails_with_the_documented_error(kind, monkeypatch):
     # rectangles of the generator's minimum size must fit a 2-pixel block;
