@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, fourier, retrieval
-from .fieldfile import FieldFileError, read_field_file, write_field_file
+from .fieldfile import read_field_file, write_field_file
 from .grids import SettingError, as_mask
 from .sparsity import PenaltySpec, select_delta, huber_value, tv_value
 
@@ -71,7 +71,7 @@ def _load_finite(path, what: str) -> np.ndarray:
     the error."""
     field = read_field_file(path)
     if not np.all(np.isfinite(field)):
-        raise FieldFileError(f"{what} file {path} has non-finite samples")
+        raise ValueError(f"{what} file {path} has non-finite samples")
     return field
 
 
@@ -116,19 +116,21 @@ def cmd_forward(args) -> int:
 # Algorithm name -> the penalty kind of its PenaltySpec ("none" is plain HIO).
 ALGORITHMS = {"hio": "none", "hio-tv": "tv", "hio-huber": "huber"}
 
-# Penalty settings, each a PenaltySpec field: a `retrieve` flag's
-# destination and a key of a sweep's "retrieval" object.
-PENALTY_SETTINGS = ("n_inner_steps",)
 
-
-def _penalty_spec(alg: str, settings: dict) -> PenaltySpec:
-    """The validated PenaltySpec of `alg` with the given penalty settings."""
+def _penalty_spec(alg: str, settings) -> PenaltySpec:
+    """The validated PenaltySpec of `alg`, with the "n_inner_steps" of
+    `settings` (retrieve's parsed flags or a sweep's "retrieval" object) if
+    it holds one; a None there is a value, and refused."""
     if alg not in ALGORITHMS:
         raise SettingError(f"unknown algorithm {alg!r}")
+    given = {"n_inner_steps": settings["n_inner_steps"]} if "n_inner_steps" in settings else {}
     try:
-        return PenaltySpec(kind=ALGORITHMS[alg], **settings)
+        penalty = PenaltySpec(kind=ALGORITHMS[alg], **given)
     except ValueError as exc:
         raise SettingError(f"invalid penalty settings for {alg}: {exc}") from exc
+    if given and penalty.kind == "none":
+        print(f"warning: n_inner_steps ignored for {alg} (no penalty)", file=sys.stderr)
+    return penalty
 
 
 def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
@@ -139,19 +141,13 @@ def _config_echo(alg: str, config: retrieval.RetrievalConfig) -> dict:
         "seed": config.seed,
     }
     if config.penalty.kind != "none":
-        penalty = asdict(config.penalty)
-        echo["penalty"] = penalty.pop("kind")
-        echo.update(penalty)
+        echo["penalty"] = config.penalty.kind
+        echo["n_inner_steps"] = config.penalty.n_inner_steps
     return echo
 
 
 def cmd_retrieve(args) -> int:
-    settings = {name: getattr(args, name) for name in PENALTY_SETTINGS
-                if getattr(args, name) is not None}
-    penalty = _penalty_spec(args.alg, settings)
-    if penalty.kind == "none":
-        for name in settings:
-            print(f"warning: {name} ignored for --alg {args.alg} (no penalty)", file=sys.stderr)
+    penalty = _penalty_spec(args.alg, vars(args))
     config = retrieval.RetrievalConfig(
         beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
     magnitude = _load_finite(args.magnitude, "magnitude")
@@ -199,20 +195,18 @@ def _sweep_cell(payload):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise SettingError(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise FieldFileError(f"cannot read sweep config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SettingError(f"invalid sweep config JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise SettingError(f"invalid sweep config JSON: {exc}") from exc
 
     try:
         seeds = list(cfg["seeds"])
         algorithms = list(cfg["algorithms"])
         phantom = experiment.PhantomSpec(**cfg["phantom"])
         base = dict(cfg.get("retrieval", {}))
-        out_dir = Path(args.out or cfg["output_dir"])
+        out_dir = Path(cfg["output_dir"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SettingError(f"invalid sweep config: {exc}") from exc
     # A repeat would make two cells write the same files. Seeds are used
@@ -223,13 +217,15 @@ def cmd_sweep(args) -> int:
     if not (algorithms and all(isinstance(a, str) for a in algorithms)
             and len(set(algorithms)) == len(algorithms)):
         raise SettingError(f"algorithms must be nonempty and distinct, got {algorithms}")
-    # Any other key is a usage error, so a typo cannot silently fall back
-    # to a default.
-    unknown = sorted(set(base) - {"beta", "n_iterations"} - set(PENALTY_SETTINGS))
-    if unknown:
-        raise SettingError(f"unknown retrieval keys in sweep config: {', '.join(unknown)}")
-    settings = {name: base[name] for name in PENALTY_SETTINGS if name in base}
-    penalties = {alg: _penalty_spec(alg, settings) for alg in algorithms}
+    # Any other key is a usage error, so a misplaced or misspelt key cannot
+    # silently fall back to a default. cfg["seeds"] was read, so cfg is an object.
+    for level, given, known in (
+            ("top-level", cfg, {"phantom", "retrieval", "seeds", "algorithms", "output_dir"}),
+            ("retrieval", base, {"beta", "n_iterations", "n_inner_steps"})):
+        unknown = sorted(set(given) - known)
+        if unknown:
+            raise SettingError(f"unknown {level} keys in sweep config: {', '.join(unknown)}")
+    penalties = {alg: _penalty_spec(alg, base) for alg in algorithms}
     # beta and n_iterations are checked per cell, so a bad value shows up
     # as cell failures in aggregate.json.
     loop = {name: base[name] for name in ("beta", "n_iterations") if name in base}
@@ -331,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=ALGORITHMS, default="hio-tv")
     p.add_argument("--iters", type=int, default=retrieval.RetrievalConfig.n_iterations)
     p.add_argument("--beta", type=float, default=retrieval.RetrievalConfig.beta)
-    p.add_argument("--ntv", dest="n_inner_steps", type=int, default=None,
+    # no default: n_inner_steps is in the parsed flags only when given
+    p.add_argument("--ntv", dest="n_inner_steps", type=int, default=argparse.SUPPRESS,
                    help="descent steps per iteration")
     p.add_argument("--seed", type=int, default=retrieval.RetrievalConfig.seed)
     p.add_argument("--out", default=".")
@@ -340,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a seeded (algorithm x seed) grid")
     p.add_argument("--config", required=True, help="SweepConfig JSON file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None, help="override config output_dir")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("metrics", help="twin metrics for a reconstruction")

@@ -165,8 +165,6 @@ def _window_of(field, region) -> tuple[np.ndarray, SupportWindow]:
 
 def _restrict(field, region):
     """Bounding-box view of the field and its window's mask."""
-    if region is None:
-        return np.asarray(field, np.complex128), None
     f, window = _window_of(field, region)
     return f[window.rows, window.cols], window.mask
 
@@ -186,8 +184,12 @@ class Gradient(NamedTuple):
 
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
-    """The field's Gradient (`out`, a Gradient of C-contiguous arrays, is filled and returned)."""
+    """The field's Gradient (`out`, a Gradient of the field's shape, is filled
+    and returned). The stencil differences gx through a flat view, which a
+    strided gx would copy, so a non-C-contiguous out.gx is refused."""
     f = np.ascontiguousarray(field, np.complex128)
+    if out is not None and not out.gx.flags.c_contiguous:
+        raise ValueError("gradient_of's out.gx must be C-contiguous")
     gx, gy, mag_sq = (np.empty_like(f), np.empty_like(f), None) if out is None else out
     _gradient_into(f, gx, gy)
     mag_sq = np.abs(gx, out=mag_sq)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from concurrent.futures import Future
@@ -90,6 +91,23 @@ def test_flag_defaults_are_the_configs_defaults():
     run = parser.parse_args(["retrieve", "--magnitude", "m", "--mask", "s"])
     config = retrieval.RetrievalConfig()
     assert (run.beta, run.iters, run.seed) == (config.beta, config.n_iterations, config.seed)
+
+
+def test_every_flag_is_pinned():
+    # the whole settable surface, 20 flags: a new flag needs a change here
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: sorted(option for action in sub._actions for option in action.option_strings
+                          if option not in ("-h", "--help"))
+             for name, sub in subcommands.items()}
+    assert flags == {
+        "phantom": ["--kind", "--out", "--seed", "--size", "--support"],
+        "forward": ["--out", "--truth"],
+        "retrieve": ["--alg", "--beta", "--iters", "--magnitude", "--mask", "--ntv", "--out",
+                     "--seed"],
+        "sweep": ["--config", "--jobs"],
+        "metrics": ["--mask", "--recon", "--truth"],
+    }
 
 
 def test_phantom_rejects_bad_geometry(tmp_path):
@@ -577,8 +595,10 @@ def test_sweep_rejects_unknown_algorithm(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
 
 
-def test_sweep_missing_config(tmp_path):
-    assert main(["sweep", "--config", str(tmp_path / "none.json")]) == EXIT_DATA
+def test_sweep_missing_config(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    assert main(["sweep", "--config", str(path)]) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
 
 
 def test_sweep_invalid_json(tmp_path):
@@ -600,6 +620,40 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
         assert not (tmp_path / "sweep_out").exists()
 
 
+# a key that belongs in the "retrieval" or "phantom" object, or a misspelt one,
+# would otherwise be dropped and its setting left at the default
+@pytest.mark.parametrize("key, value", [
+    ("n_iterations", 3), ("n_inner_steps", 2), ("pattern_seed", 5), ("output", "x")])
+def test_sweep_rejects_unknown_top_level_key(tmp_path, capsys, key, value):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
+    payload = json.loads(cfg.read_text())
+    payload[key] = value
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"unknown top-level keys in sweep config: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists()
+
+
+def test_sweep_output_dir_is_the_one_output_setting(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"])
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_out").exists() and not (tmp_path / "x").exists()
+
+
+def test_sweep_warns_on_ignored_n_inner_steps(tmp_path, capsys):
+    # as retrieve --alg hio --ntv does
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio"], iters=2)
+    payload = json.loads(cfg.read_text())
+    payload["retrieval"]["n_inner_steps"] = 5
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err.count("n_inner_steps ignored for hio (no penalty)") == 1
+    cell = json.loads((tmp_path / "sweep_out" / "recon_hio_00000000.json").read_text())
+    assert "n_inner_steps" not in cell["config"]
+
+
 # epsilon, t_init and delta are not settings: whatever the value, the key
 # itself is refused.
 @pytest.mark.parametrize("key, value, message", [
@@ -608,9 +662,11 @@ def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
     ("n_inner_steps", 2.5, "invalid penalty settings"), ("epsilon", True, "unknown retrieval keys"),
     ("t_init", True, "unknown retrieval keys"), ("t_init", float("inf"), "unknown retrieval keys"),
     ("epsilon", float("nan"), "unknown retrieval keys"),
-    ("delta", float("inf"), "unknown retrieval keys"), ("delta", 1e300, "unknown retrieval keys")],
+    ("delta", float("inf"), "unknown retrieval keys"), ("delta", 1e300, "unknown retrieval keys"),
+    ("n_inner_steps", None, "invalid penalty settings")],
     ids=["epsilon--1", "delta-foo", "delta-True", "t_init-0", "n_inner_steps-2.5", "epsilon-True",
-         "t_init-True", "t_init-inf", "epsilon-nan", "delta-inf", "delta-1e+300"])
+         "t_init-True", "t_init-inf", "epsilon-nan", "delta-inf", "delta-1e+300",
+         "n_inner_steps-None"])
 def test_sweep_rejects_bad_penalty_setting_before_writing(tmp_path, capsys, key, value, message):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=["hio", "hio-huber"])
     payload = json.loads(cfg.read_text())

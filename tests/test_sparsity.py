@@ -919,6 +919,23 @@ def test_gradient_of_into_out_is_byte_equal():
         assert got.mag_sq.tobytes() == (np.abs(gx) ** 2 + np.abs(gy) ** 2).tobytes()
 
 
+def test_gradient_of_refuses_a_strided_out_gx():
+    # the stencil differences gx through a flat view: a strided gx would
+    # receive a copy's differences and come back wrong, by up to 3.0 here
+    f = random_field((6, 6), 61)
+    base = np.zeros((8, 9), np.complex128)
+    out = Gradient(base[1:-1, 2:-1], np.zeros((6, 6), np.complex128), np.zeros((6, 6)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gradient_of(f, out=out)
+    assert not base.any() and not out.gy.any() and not out.mag_sq.any()
+    # gy and mag_sq are written through their own strides, so they may be strided
+    expected = gradient_of(f)
+    strided = Gradient(np.empty((6, 6), np.complex128), base[1:-1, 2:-1],
+                       np.zeros((8, 9))[1:-1, 2:-1])
+    got = gradient_of(f, out=strided)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
 def _regions(shape):
     """A full region and a ragged one, as masks."""
     ragged = np.ones(shape, dtype=bool)
