@@ -23,14 +23,21 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   phantom (pattern seed 1) after 20 plain HIO iterations (run seed 0); and
   the fixed cost of one descent step, a 30-step TV block on a seeded 4x4
   all-support field divided by its steps. A layer process first counts the
-  steps each block takes (every one of the 30 is accepted on both fields).
+  steps each block takes (every one of the 30 is accepted on both fields)
+  through `sparsity.backtracking_step`. A tree without that function
+  reports its steps as null, and the 4x4 block is divided by its
+  n_inner_steps; a tree without `grids.Workspace` runs its blocks without
+  `work=`.
 - Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
   and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each run
   gives its twin flag, its phase RMSE against the truth and its final
   penalty over the truth's (both from `retrieval.penalty_value`). A run is
   recovered when it has no twin and a phase RMSE under its pool's
   tolerance: 0.01 rad for `hio-tv`, 0.15 rad for `hio-huber`, the
-  benchmark's tolerances for these engines.
+  benchmark's tolerances for these engines. The pool runs go
+  `os.cpu_count()` at a time, each in its own fresh process, in the
+  alternating order above. Pools report no time, so the `seconds` recorded
+  with each pool run is a time under that load, not a serial one.
 - Tier-1: TIER1_ROUNDS rounds of the tree's whole pytest suite per side,
   from the tree's root, alternating as above (parent, change, change,
   parent for two rounds); every run's wall time and pytest's summary line.
@@ -54,6 +61,7 @@ import argparse
 import ast
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -63,6 +71,7 @@ import subprocess
 import sys
 import time
 import tokenize
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # engine -> (penalty kind, phantom kind, pattern seed of the timed runs)
@@ -108,8 +117,7 @@ def time_layers(repeats: int = 30) -> dict:
     import numpy as np
 
     import sparsepr as sp
-    from sparsepr import sparsity
-    from sparsepr.grids import Workspace
+    from sparsepr import grids, sparsity
 
     spec = sp.PhantomSpec(image_size=128, support_size=60, kind="binary", pattern_seed=1)
     magnitude = sp.magnitude_of(sp.forward_transform(sp.phantom(spec)))
@@ -121,28 +129,31 @@ def time_layers(repeats: int = 30) -> dict:
     cases = {"descent_block_60_tv": (field, mask, "tv"),
              "descent_block_60_huber_median": (field, mask, "huber"),
              "descent_step_4x4": (small, np.ones((4, 4), dtype=bool), "tv")}
+    # A tree without these names is timed without them: no step count, no workspace.
+    step = getattr(sparsity, "backtracking_step", None)
+    workspace = getattr(grids, "Workspace", None)
     result = {}
     for name, (f, m, kind) in cases.items():
         window, penalty = sparsity.support_window(m), sparsity.PenaltySpec(kind=kind)
-        out, work = np.empty_like(f), Workspace()
-        steps, step = [], sparsity.backtracking_step
+        out, steps = np.empty_like(f), []
+        work = {} if workspace is None else {"work": workspace()}
+        if step is not None:
+            def counted(*args, **kwargs):
+                steps.append(step(*args, **kwargs))
+                return steps[-1]
 
-        def counted(*args, **kwargs):
-            steps.append(step(*args, **kwargs))
-            return steps[-1]
-
-        sparsity.backtracking_step = counted
-        try:
-            sparsity.sparsity_descent(f, window, penalty, out=out, work=work)
-        finally:
-            sparsity.backtracking_step = step
+            sparsity.backtracking_step = counted
+            try:
+                sparsity.sparsity_descent(f, window, penalty, out=out, **work)
+            finally:
+                sparsity.backtracking_step = step
         seconds = []
         for _ in range(repeats):
             start = time.perf_counter()
-            sparsity.sparsity_descent(f, window, penalty, out=out, work=work)
+            sparsity.sparsity_descent(f, window, penalty, out=out, **work)
             seconds.append(time.perf_counter() - start)
-        result[name] = {"min_s": min(seconds),
-                        "steps": sum(t > 0 for t in steps)}
+        result[name] = {"min_s": min(seconds), "n_inner_steps": penalty.n_inner_steps,
+                        "steps": None if step is None else sum(t > 0 for t in steps)}
     return result
 
 
@@ -247,13 +258,16 @@ def main(argv=None) -> int:
     for k in range(args.repeats):
         for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
             layers[side].append(spawn(trees[side], "--layers"))
+    cases = [(side, engine, pattern_seed, run_seed)
+             for engine, (pattern_seeds, run_seeds, _) in POOLS.items()
+             for k, (pattern_seed, run_seed) in enumerate(itertools.product(pattern_seeds,
+                                                                            run_seeds))
+             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"])]
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as threads:
+        runs = list(threads.map(lambda case: spawn_run(trees[case[0]], *case[1:]), cases))
     pools = {side: {engine: [] for engine in POOLS} for side in trees}
-    for engine, (pattern_seeds, run_seeds, _) in POOLS.items():
-        cases = [(pattern, run) for pattern in pattern_seeds for run in run_seeds]
-        for k, (pattern_seed, run_seed) in enumerate(cases):
-            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-                run = spawn_run(trees[side], engine, pattern_seed, run_seed)
-                pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
+    for (side, engine, pattern_seed, run_seed), run in zip(cases, runs):
+        pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
     suites = tier1(trees)
 
     def times(runs):
@@ -265,7 +279,10 @@ def main(argv=None) -> int:
         summary = {}
         for name in runs[0]:
             seconds = [r[name]["min_s"] for r in runs]
-            per = 1e6 / runs[0][name]["steps"] if name == "descent_step_4x4" else 1e3
+            steps = runs[0][name]["steps"]
+            if steps is None:
+                steps = runs[0][name]["n_inner_steps"]
+            per = 1e6 / steps if name == "descent_step_4x4" else 1e3
             unit = "us_per_step" if name == "descent_step_4x4" else "ms"
             summary[name] = {f"min_{unit}": min(seconds) * per,
                              f"median_{unit}": statistics.median(seconds) * per,

@@ -2,16 +2,21 @@
 
 These tests run the full desk-scale experiments (128x128 grids, 60x60
 support, 500 iterations, multiple seeds) and take a few minutes total.
-Each test prints a one-line verdict so a -s run reads as a report.
+Criteria 5-7 read their seeded batches from `sparsepr sweep` runs on every
+core this process may use; criterion 9b shows that a cell's bits do not
+depend on its process. Each test prints a one-line verdict so a -s run
+reads as a report.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import sparsepr as sp
-from sparsepr.cli import ALGORITHMS
+from sparsepr.cli import main
+from sparsepr.fieldfile import read_field_file
 
 IMAGE_SIZE = 128
 SUPPORT_SIZE = 60
@@ -20,11 +25,36 @@ BETA = 0.9
 PATTERN_SEED = 1
 RUN_SEEDS = tuple(range(10))
 GRAY_SEEDS = tuple(range(5))
+# criteria 5-7 sweep on the cores this process may use, not on the machine's count
+ALL_CORES = len(os.sched_getaffinity(0))
 
 
 def random_field(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def sweep(tmp_path, tag, jobs, phantom, seeds, algorithms, n_iterations=N_ITERATIONS):
+    """`sparsepr sweep` of the (algorithm x seed) grid at BETA into tmp_path/tag,
+    over `jobs` processes; returns that output directory."""
+    out = tmp_path / tag
+    cfg = {
+        "phantom": phantom,
+        "retrieval": {"beta": BETA, "n_iterations": n_iterations},
+        "seeds": list(seeds),
+        "algorithms": list(algorithms),
+        "output_dir": str(out),
+    }
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path), "--jobs", str(jobs)]) == 0
+    return out
+
+
+def summaries(out):
+    """The RunSummary of each algorithm in a sweep's aggregate.json."""
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    return {alg: sp.RunSummary(**summary) for alg, summary in aggregate["algorithms"].items()}
 
 
 @pytest.fixture(scope="module")
@@ -42,35 +72,21 @@ def binary_problem(mask):
 
 
 @pytest.fixture(scope="module")
-def gray_problem():
-    spec = sp.PhantomSpec(image_size=IMAGE_SIZE, support_size=SUPPORT_SIZE,
-                          kind="gray", pattern_seed=0)
-    truth = sp.phantom(spec)
-    magnitude = sp.magnitude_of(sp.forward_transform(truth))
-    return truth, magnitude
-
-
-def run_batch(magnitude, mask, algorithm, seeds):
-    reports = []
-    for seed in seeds:
-        cfg = sp.RetrievalConfig(beta=BETA, n_iterations=N_ITERATIONS, seed=seed,
-                                 penalty=sp.PenaltySpec(kind=ALGORITHMS[algorithm]))
-        reports.append(sp.run_hio(magnitude, mask, cfg))
-    return reports
+def binary_summaries(tmp_path_factory):
+    """Criteria 5 and 6: plain HIO and HIO-TV on the binary phantom."""
+    phantom = {"image_size": IMAGE_SIZE, "support_size": SUPPORT_SIZE,
+               "kind": "binary", "pattern_seed": PATTERN_SEED}
+    return summaries(sweep(tmp_path_factory.mktemp("binary"), "sweep", ALL_CORES,
+                           phantom, RUN_SEEDS, ["hio", "hio-tv"]))
 
 
 @pytest.fixture(scope="module")
-def hio_summary(binary_problem, mask):
-    truth, magnitude, _ = binary_problem
-    reports = run_batch(magnitude, mask, "hio", RUN_SEEDS)
-    return sp.run_statistics(reports, truth, mask)
-
-
-@pytest.fixture(scope="module")
-def hio_tv_summary(binary_problem, mask):
-    truth, magnitude, _ = binary_problem
-    reports = run_batch(magnitude, mask, "hio-tv", RUN_SEEDS)
-    return sp.run_statistics(reports, truth, mask)
+def gray_sweep(tmp_path_factory):
+    """Criterion 7: plain HIO and HIO-Huber on the gray phantom."""
+    phantom = {"image_size": IMAGE_SIZE, "support_size": SUPPORT_SIZE,
+               "kind": "gray", "pattern_seed": 0}
+    return sweep(tmp_path_factory.mktemp("gray"), "sweep", ALL_CORES,
+                 phantom, GRAY_SEEDS, ["hio", "hio-huber"])
 
 
 # ------------------------------------------------------------ criterion 1
@@ -168,8 +184,9 @@ def test_criterion_4_descent_monotonicity():
 
 # ------------------------------------------------------------ criterion 5
 
-def test_criterion_5_plain_hio_stagnates(binary_problem, hio_summary):
+def test_criterion_5_plain_hio_stagnates(binary_problem, binary_summaries):
     _, _, truth_tv = binary_problem
+    hio_summary = binary_summaries["hio"]
     ratio = hio_summary.penalty_mean / truth_tv
     assert hio_summary.twin_present_count >= 7
     assert ratio >= 2.0
@@ -179,8 +196,9 @@ def test_criterion_5_plain_hio_stagnates(binary_problem, hio_summary):
 
 # ------------------------------------------------------------ criterion 6
 
-def test_criterion_6_tv_eliminates_twin(binary_problem, hio_tv_summary):
+def test_criterion_6_tv_eliminates_twin(binary_problem, binary_summaries):
     _, _, truth_tv = binary_problem
+    hio_tv_summary = binary_summaries["hio-tv"]
     deviation = abs(hio_tv_summary.penalty_mean / truth_tv - 1)
     assert hio_tv_summary.twin_present_count <= 1
     assert deviation <= 0.25
@@ -190,17 +208,16 @@ def test_criterion_6_tv_eliminates_twin(binary_problem, hio_tv_summary):
 
 # ------------------------------------------------------------ criterion 7
 
-def test_criterion_7_gray_huber(gray_problem, mask):
-    truth, magnitude = gray_problem
-    hio_reports = run_batch(magnitude, mask, "hio", GRAY_SEEDS)
-    huber_reports = run_batch(magnitude, mask, "hio-huber", GRAY_SEEDS)
+def test_criterion_7_gray_huber(gray_sweep, mask):
+    truth = read_field_file(gray_sweep / "truth.prf1")
     twin_free = 0
     improvements = []
-    for plain, assisted in zip(hio_reports, huber_reports):
-        metrics = sp.twin_correlations(assisted.final_field, truth, mask)
-        twin_free += int(not metrics.twin_present)
-        rmse_plain = sp.phase_rmse(plain.final_field, truth, mask)
-        rmse_huber = sp.phase_rmse(assisted.final_field, truth, mask)
+    for run in summaries(gray_sweep)["hio-huber"].per_run:
+        plain = read_field_file(gray_sweep / f"recon_hio_{run['seed']:08d}.prf1")
+        assisted = read_field_file(gray_sweep / f"recon_hio-huber_{run['seed']:08d}.prf1")
+        twin_free += int(not run["twin_present"])
+        rmse_plain = sp.phase_rmse(plain, truth, mask)
+        rmse_huber = sp.phase_rmse(assisted, truth, mask)
         improvements.append(rmse_plain - rmse_huber)
     assert twin_free >= 4
     assert all(gain > 0 for gain in improvements)
@@ -243,26 +260,9 @@ def test_criterion_9a_zero_inner_steps_degeneracy(binary_problem, mask):
 
 
 def test_criterion_9b_parallel_determinism(tmp_path):
-    from sparsepr.cli import main
-    from sparsepr.fieldfile import read_field_file
-
-    def sweep(tag, jobs):
-        out = tmp_path / tag
-        cfg = {
-            "phantom": {"image_size": 64, "support_size": 24,
-                        "kind": "binary", "pattern_seed": 2},
-            "retrieval": {"beta": BETA, "n_iterations": 40},
-            "seeds": [0, 1, 2],
-            "algorithms": ["hio", "hio-tv"],
-            "output_dir": str(out),
-        }
-        path = tmp_path / f"{tag}.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["sweep", "--config", str(path), "--jobs", str(jobs)]) == 0
-        return out
-
-    serial = sweep("serial", 1)
-    parallel = sweep("parallel", 8)
+    phantom = {"image_size": 64, "support_size": 24, "kind": "binary", "pattern_seed": 2}
+    serial = sweep(tmp_path, "serial", 1, phantom, [0, 1, 2], ["hio", "hio-tv"], 40)
+    parallel = sweep(tmp_path, "parallel", 8, phantom, [0, 1, 2], ["hio", "hio-tv"], 40)
     for alg in ("hio", "hio-tv"):
         for seed in (0, 1, 2):
             name = f"recon_{alg}_{seed:08d}.prf1"

@@ -19,7 +19,7 @@ from sparsepr.cli import (
     write_pgm,
 )
 from sparsepr.experiment import (PhantomSpec, binary_phase_phantom, gray_phase_phantom,
-                                 make_support)
+                                 make_support, run_statistics)
 from sparsepr.fieldfile import read_field_file, write_field_file
 from sparsepr.fourier import forward_transform, magnitude_of
 from sparsepr.sparsity import PenaltySpec
@@ -537,6 +537,29 @@ def test_sweep_parallel_bit_identical(tmp_path):
     agg_a = json.loads((tmp_path / "a" / "sweep_out" / "aggregate.json").read_text())
     agg_b = json.loads((tmp_path / "b" / "sweep_out" / "aggregate.json").read_text())
     assert agg_a["algorithms"] == agg_b["algorithms"]
+
+
+def test_sweep_equals_direct_runs(tmp_path):
+    # The acceptance suite reads criteria 5-7 from sweeps, so each cell must
+    # be run_hio of the same config, bit for bit, and each aggregate entry
+    # the JSON of run_statistics over those runs.
+    algorithms = ["hio", "hio-tv", "hio-huber"]
+    cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=algorithms)
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 0
+    out = tmp_path / "sweep_out"
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    truth, mask, magnitude = make_inputs(tmp_path)
+    for alg in algorithms:
+        reports = [retrieval.run_hio(magnitude, mask, retrieval.RetrievalConfig(
+            beta=0.9, n_iterations=4, seed=seed, penalty=PenaltySpec(kind=cli.ALGORITHMS[alg])))
+            for seed in (0, 1)]
+        for report in reports:
+            swept = read_field_file(out / f"recon_{alg}_{report.seed:08d}.prf1")
+            assert (swept.dtype, swept.shape) == (report.final_field.dtype,
+                                                  report.final_field.shape)
+            assert swept.tobytes() == report.final_field.tobytes()
+        direct = dataclasses.asdict(run_statistics(reports, truth, mask))
+        assert aggregate["algorithms"][alg] == json.loads(json.dumps(direct))
 
 
 def test_sweep_rejects_duplicate_seeds(tmp_path):
