@@ -202,13 +202,19 @@ def cmd_sweep(args) -> int:
             raise SettingError(f"invalid sweep config JSON: {exc}") from exc
 
     try:
-        seeds = list(cfg["seeds"])
-        algorithms = list(cfg["algorithms"])
+        seeds, algorithms = cfg["seeds"], cfg["algorithms"]
         phantom = experiment.PhantomSpec(**cfg["phantom"])
-        base = dict(cfg.get("retrieval", {}))
+        base = cfg.get("retrieval", {})
         out_dir = Path(cfg["output_dir"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SettingError(f"invalid sweep config: {exc}") from exc
+    # A string would be read as its characters, and an array of pairs as
+    # an object, so each level must have its JSON type.
+    for name, value, kind, json_type in (("seeds", seeds, list, "an array"),
+                                         ("algorithms", algorithms, list, "an array"),
+                                         ("retrieval", base, dict, "an object")):
+        if not isinstance(value, kind):
+            raise SettingError(f"{name} must be {json_type}, got {value!r}")
     # A repeat would make two cells write the same files. Seeds are used
     # as given, so a fractional or bool seed is refused, not truncated.
     if not (seeds and all(type(s) is int and s >= 0 for s in seeds)
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("sweep", help="run a seeded (algorithm x seed) grid")
-    p.add_argument("--config", required=True, help="SweepConfig JSON file")
+    p.add_argument("--config", required=True, help="sweep config JSON file")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

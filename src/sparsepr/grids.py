@@ -57,24 +57,6 @@ def l2_norm(a, *, out=None) -> float:
     return float(np.sqrt(np.sum(np.multiply(a, a, out=out))))
 
 
-class Workspace:
-    """Scratch arrays that one caller reuses across many calls.
-
-    `array(name, shape, dtype)` returns the array kept under `name`,
-    allocated on first use and again whenever the shape or dtype asked for
-    changes. Its contents are whatever the last user wrote.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
-
-
 class SettingError(ValueError):
     """An invalid setting: a config field, a CLI flag or a sweep key. The CLI
     exits 1 (usage) for it and 2 (data) for any other ValueError."""

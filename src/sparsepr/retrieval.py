@@ -13,8 +13,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import forward_transform, impose_magnitude, inverse_transform
-from .grids import (SettingError, Workspace, as_magnitude, as_mask, check_number,
-                    check_same_shape, l2_norm)
+from .grids import (SettingError, as_magnitude, as_mask, check_number, check_same_shape,
+                    l2_norm)
 from .sparsity import (PenaltySpec, _window_of, gradient_of, huber_value, select_delta,
                        sparsity_descent, support_window, tv_value)
 
@@ -145,7 +145,6 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     modulus = np.empty_like(mag)
     deviation = np.empty_like(mag)  # |G| - magnitude
     squares = np.empty_like(mag)
-    descent_work = Workspace()  # the descent's window-sized arrays
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
@@ -158,8 +157,7 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
         g, g_next = hio_update(g, g_hat, step_mask, config.beta, out=g_next), g
         if do_descent:
             try:
-                g, g_next = sparsity_descent(g, step_window, config.penalty, out=g_next,
-                                              work=descent_work), g
+                g, g_next = sparsity_descent(g, step_window, config.penalty, out=g_next), g
             except FloatingPointError as exc:  # an overflow in a descent step
                 raise FloatingPointError(
                     f"{exc} in the descent at iteration {n + 1} of {config.n_iterations}"

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import SettingError, Workspace, as_mask, bounding_box, check_number, check_same_shape
+from .grids import SettingError, as_mask, bounding_box, check_number, check_same_shape
 
 # The descent's TV smoothing is EPSILON times the field's max modulus,
 # and never below EPSILON_FLOOR.
@@ -379,8 +379,7 @@ def backtracking_step(field, gradient, penalty, p0=None, *, out=None) -> float:
     return 0.0
 
 
-def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
-                     work: Workspace | None = None) -> np.ndarray:
+def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarray:
     """Run spec.n_inner_steps penalty-descent steps on the in-support pixels.
 
     Work happens on the region's bounding-box window (`region` is a mask
@@ -398,8 +397,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     the window's pixels, ends the block: on a field that flat no Huber step
     fits in float64. An all-support window is region None.
 
-    The window-sized arrays the steps write come from `work`, so a caller
-    that passes the same Workspace to every call allocates them once.
+    The window-sized arrays the steps write are allocated once per call.
 
     An overflow anywhere in the block, the first gradient included, raises
     FloatingPointError (numpy's own message).
@@ -423,18 +421,13 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None,
     # above this neither 1/(delta*r) nor ||d||^2 can overflow
     min_delta_sq = 16 * sub.size / np.finfo(np.float64).max
 
-    if work is None:
-        work = Workspace()
-
-    def buffer(name, kind=np.complex128):
-        return work.array("sparsity_descent." + name, sub.shape, kind)
-
     # The line search reads `sub` while it writes a trial, so the iterate
     # alternates between two arrays and never lands in the caller's field.
-    trial, spare = buffer("iterate_a"), buffer("iterate_b")
-    gradient = buffer("gradient")
-    per_pixel = buffer("per_pixel", np.float64)
-    grad = Gradient(buffer("gx"), buffer("gy"), buffer("mag_sq", np.float64))
+    trial, spare = np.empty(sub.shape, np.complex128), np.empty(sub.shape, np.complex128)
+    gradient = np.empty(sub.shape, np.complex128)
+    per_pixel = np.empty(sub.shape, np.float64)
+    grad = Gradient(np.empty(sub.shape, np.complex128), np.empty(sub.shape, np.complex128),
+                    np.empty(sub.shape, np.float64))
     last = None
 
     def penalty(g) -> float:

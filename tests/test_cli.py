@@ -575,7 +575,8 @@ def test_sweep_rejects_non_integer_seeds(tmp_path, capsys, seeds):
     assert not (tmp_path / "sweep_out").exists()
 
 
-@pytest.mark.parametrize("algorithms", [["hio", "hio"], ["hio-tv", "hio", "hio-tv"], []])
+# a string is not an array of names, though it iterates as one
+@pytest.mark.parametrize("algorithms", [["hio", "hio"], ["hio-tv", "hio", "hio-tv"], [], "hio"])
 def test_sweep_rejects_repeated_or_no_algorithms(tmp_path, capsys, algorithms):
     cfg = sweep_config(tmp_path, seeds=[0, 1], algorithms=algorithms)
     assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_USAGE
@@ -632,14 +633,17 @@ def test_sweep_invalid_json(tmp_path):
 
 def test_sweep_rejects_unknown_retrieval_key(tmp_path, capsys):
     # epsilon and t_init are solver constants, not settings, and Huber's
-    # delta is always the median
-    for key in ("n_iner_steps", "epsilon", "t_init", "delta"):
+    # delta is always the median; an array of pairs is not an object
+    rows = [({"n_iterations": 4, key: 3}, f"unknown retrieval keys in sweep config: {key}")
+            for key in ("n_iner_steps", "epsilon", "t_init", "delta")]
+    rows.append(([["beta", 0.5], ["n_iterations", 2]], "retrieval must be an object"))
+    for retrieval, message in rows:
         cfg = sweep_config(tmp_path, seeds=[0], algorithms=["hio-tv"])
         payload = json.loads(cfg.read_text())
-        payload["retrieval"][key] = 3
+        payload["retrieval"] = retrieval
         cfg.write_text(json.dumps(payload))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
-        assert f"unknown retrieval keys in sweep config: {key}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep_out").exists()
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sparsepr
-from sparsepr.grids import (SettingError, Workspace, as_complex_field, as_magnitude, as_mask,
-                            bounding_box, check_number, l2_norm)
+from sparsepr.grids import (SettingError, as_complex_field, as_magnitude, as_mask, bounding_box,
+                            check_number, l2_norm)
 
 
 def is_centrosymmetric(mask) -> bool:
@@ -57,16 +57,6 @@ def test_as_complex_field_rejects_exactly_what_the_full_scan_rejects(re, im):
 def test_as_complex_field_accepts_finite_samples_whose_sum_overflows():
     f = np.full((3, 3), 1.7e308 - 1.7e308j)
     assert as_complex_field(f) is f
-
-
-def test_workspace_keeps_an_array_per_name_shape_and_dtype():
-    work = Workspace()
-    a = work.array("a", (3, 4), np.complex128)
-    assert a.shape == (3, 4) and a.dtype == np.complex128
-    assert work.array("a", (3, 4), np.complex128) is a
-    assert work.array("b", (3, 4), np.complex128) is not a
-    assert work.array("a", (4, 3), np.complex128).shape == (4, 3)
-    assert work.array("a", (4, 3), np.float64).dtype == np.float64
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sparsepr import PhantomSpec, binary_phase_phantom, make_support, sparsity
-from sparsepr.grids import SettingError, Workspace
+from sparsepr.grids import SettingError
 from sparsepr.sparsity import (
     EPSILON,
     EPSILON_FLOOR,
@@ -1004,13 +1004,12 @@ def test_backtracking_into_out_keeps_the_accepted_trial(t_init):
 
 @settings(max_examples=100)
 @given(descent_cases(), descent_cases())
-def test_descent_into_out_with_a_shared_workspace_is_byte_equal(case, other):
-    work = Workspace()
+def test_descent_into_out_is_byte_equal(case, other):
     for field, mask, spec, t_init in (case, other, case):
         before = (field.tobytes(), mask.tobytes())
         out = np.empty_like(field)
         with patch.object(sparsity, "T_INIT", t_init):
-            assert sparsity_descent(field, mask, spec, out=out, work=work) is out
+            assert sparsity_descent(field, mask, spec, out=out) is out
             assert out.tobytes() == sparsity_descent(field, mask, spec).tobytes()
         assert (field.tobytes(), mask.tobytes()) == before
 
