@@ -1,4 +1,4 @@
-"""Whole 500-iteration runs, descent layer timings, quality pools, Tier-1 time and source size, for two source trees.
+"""Whole 500-iteration runs, traced per-layer metrics, quality pools, Tier-1 time and source size, for two source trees.
 
     python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
         --repeats 5 --out BENCH_whole_runs.json
@@ -17,20 +17,15 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   minor page faults of its process during `run_hio` (the
   `getrusage(RUSAGE_SELF).ru_minflt` delta) per iteration; min and median
   of each are reported.
-- Layer timings: `--repeats` fresh processes per side, alternating as
-  above; each times one layer 30 times and gives its fastest time (the
-  box's load comes in bursts longer than a block), and the min and median
-  over the processes are reported. The layers: one
-  sparsity_descent block (30 steps, the default PenaltySpec of `tv` and of
-  `huber`, so median delta) on the 60x60 support of the 128x128 binary
-  phantom (pattern seed 1) after 20 plain HIO iterations (run seed 0); and
-  the fixed cost of one descent step, a 30-step TV block on a seeded 4x4
-  all-support field divided by its steps. A layer process first counts the
-  steps each block takes (every one of the 30 is accepted on both fields)
-  through `sparsity.backtracking_step`. A tree without that function
-  reports its steps as null, and the 4x4 block is divided by its
-  n_inner_steps; an older tree that still has `grids.Workspace` runs its
-  blocks with one, passed as `work=`.
+- Per-layer metrics: one run of the tree's own `benchmarks/run.py
+  --workload W --seed 0 --trace 1`, from the tree's root, for `tv-binary`
+  and then `huber-gray`, the sides alternating as above. These run first,
+  and each side stores the run's printed `metrics` and its `env` line
+  (nproc, cpu, python, numpy, BLAS) as they are, under `per_layer_traced`.
+  A traced run that exits non-zero or prints a null metric stops the gate
+  with that run's stderr. The fixed cost of one descent step on a 4x4
+  window, which earlier versions of this script timed, is not measured: it
+  served the tuning of the Armijo line search, which is no longer pursued.
 - Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
   and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each run
   gives its twin flag, its phase RMSE against the truth and its final
@@ -68,7 +63,6 @@ import io
 import itertools
 import json
 import os
-import platform
 import re
 import resource
 import statistics
@@ -79,6 +73,8 @@ import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+# benchmark workloads whose per-layer metrics are recorded
+TRACED = ("tv-binary", "huber-gray")
 # engine -> (penalty kind, phantom kind, pattern seed of the timed runs)
 ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
 # engine -> (pattern seeds, run seeds, phase RMSE tolerance of a recovered run)
@@ -95,7 +91,6 @@ def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> 
     import numpy as np
 
     import sparsepr as sp
-    from sparsepr.retrieval import penalty_value
 
     spec = sp.PhantomSpec(image_size=128, support_size=60, kind=phantom_kind,
                           pattern_seed=pattern_seed)
@@ -115,68 +110,41 @@ def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> 
         "faults_per_iteration": faults / config.n_iterations,
         "twin_present": bool(sp.twin_correlations(final, truth, mask).twin_present),
         "phase_rmse": float(sp.phase_rmse(final, truth, mask)),
-        "penalty_over_truth": penalty_value(final, mask, penalty) / penalty_value(truth, mask, penalty),
+        "penalty_over_truth": (sp.penalty_value(final, mask, penalty)
+                               / sp.penalty_value(truth, mask, penalty)),
         "final_field_sha256": hashlib.sha256(np.ascontiguousarray(final).tobytes()).hexdigest(),
     }
 
 
-def time_layers(repeats: int = 30) -> dict:
-    """Fastest of 30 timings of each descent layer (child process); see the module docstring."""
-    import numpy as np
-
-    import sparsepr as sp
-    from sparsepr import grids, sparsity
-
-    spec = sp.PhantomSpec(image_size=128, support_size=60, kind="binary", pattern_seed=1)
-    magnitude = sp.magnitude_of(sp.forward_transform(sp.phantom(spec)))
-    mask = sp.make_support(128, 60)
-    field = sp.run_hio(magnitude, mask, sp.RetrievalConfig(beta=0.9, n_iterations=20,
-                                                           seed=0)).final_field
-    rng = np.random.default_rng(0)
-    small = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    cases = {"descent_block_60_tv": (field, mask, "tv"),
-             "descent_block_60_huber_median": (field, mask, "huber"),
-             "descent_step_4x4": (small, np.ones((4, 4), dtype=bool), "tv")}
-    # A tree without these names is timed without them: no step count, no workspace.
-    step = getattr(sparsity, "backtracking_step", None)
-    workspace = getattr(grids, "Workspace", None)
-    result = {}
-    for name, (f, m, kind) in cases.items():
-        window, penalty = sparsity.support_window(m), sparsity.PenaltySpec(kind=kind)
-        out, steps = np.empty_like(f), []
-        work = {} if workspace is None else {"work": workspace()}
-        if step is not None:
-            def counted(*args, **kwargs):
-                steps.append(step(*args, **kwargs))
-                return steps[-1]
-
-            sparsity.backtracking_step = counted
-            try:
-                sparsity.sparsity_descent(f, window, penalty, out=out, **work)
-            finally:
-                sparsity.backtracking_step = step
-        seconds = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sparsity.sparsity_descent(f, window, penalty, out=out, **work)
-            seconds.append(time.perf_counter() - start)
-        result[name] = {"min_s": min(seconds), "n_inner_steps": penalty.n_inner_steps,
-                        "steps": None if step is None else sum(t > 0 for t in steps)}
-    return result
-
-
-def spawn(tree: Path, *args) -> dict:
-    """This script's child mode with `args` in a fresh process that imports sparsepr from `tree`."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, __file__, *map(str, args)],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def order(k: int) -> list[str]:
+    """The sides in repeat k: the parent first for even k, the change for odd k."""
+    return ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
 
 
 def spawn_run(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
     """run_once in a fresh process that imports sparsepr from `tree`."""
     kind, phantom_kind, _ = ENGINES[engine]
-    return spawn(tree, "--run", kind, phantom_kind, pattern_seed, run_seed)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, __file__, "--run", kind, phantom_kind,
+                          str(pattern_seed), str(run_seed)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def traced(tree: Path, workload: str) -> dict:
+    """The `env` line and per-layer `metrics` of one traced run of the tree's
+    benchmark; a failed run or a null metric stops the gate with its stderr."""
+    done = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
+                           "--seed", "0", "--trace", "1"],
+                          cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    metrics = json.loads(lines[-1])["metrics"] if done.returncode == 0 else {}
+    nulls = [name for name, metric in metrics.items() if metric["value"] is None]
+    if not metrics or nulls:
+        sys.exit(f"traced {workload} run of {tree} exited {done.returncode}, "
+                 f"null metrics {nulls}:\n{done.stderr}")
+    env = next(json.loads(line.removeprefix("env ")) for line in lines if line.startswith("env "))
+    return {"env": env, "metrics": metrics}
 
 
 def tier1_run(tree: Path) -> dict:
@@ -200,7 +168,7 @@ def tier1(trees: dict) -> dict:
     wall-time range."""
     runs = {side: [] for side in trees}
     for k in range(TIER1_ROUNDS):
-        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+        for side in order(k):
             runs[side].append(tier1_run(trees[side]))
     return {side: {"min_s": min(r["seconds"] for r in rs), "max_s": max(r["seconds"] for r in rs),
                    "same_summary": len({counts_of(r["summary"]) for r in rs}) == 1,
@@ -226,12 +194,6 @@ def source_size(tree: Path) -> dict:
     return {"lines": lines, "code_lines": code}
 
 
-def numpy_version(tree: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                          env=env, check=True, capture_output=True, text=True).stdout.strip()
-
-
 def pool_summary(runs: list[dict], tolerance: float) -> dict:
     rmse = [r["phase_rmse"] for r in runs]
     return {
@@ -255,21 +217,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
+    per_layer = {side: {} for side in trees}
+    for k, workload in enumerate(TRACED):
+        for side in order(k):
+            per_layer[side][workload] = traced(trees[side], workload)
     timed = {side: {engine: [] for engine in ENGINES} for side in trees}
     for k in range(args.repeats):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         for engine, (_, _, pattern_seed) in ENGINES.items():
-            for side in order:
+            for side in order(k):
                 timed[side][engine].append(spawn_run(trees[side], engine, pattern_seed, 0))
-    layers = {side: [] for side in trees}
-    for k in range(args.repeats):
-        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-            layers[side].append(spawn(trees[side], "--layers"))
     cases = [(side, engine, pattern_seed, run_seed)
              for engine, (pattern_seeds, run_seeds, _) in POOLS.items()
              for k, (pattern_seed, run_seed) in enumerate(itertools.product(pattern_seeds,
                                                                             run_seeds))
-             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"])]
+             for side in order(k)]
     with ThreadPoolExecutor(max_workers=os.cpu_count()) as threads:
         runs = list(threads.map(lambda case: spawn_run(trees[case[0]], *case[1:]), cases))
     pools = {side: {engine: [] for engine in POOLS} for side in trees}
@@ -285,27 +246,11 @@ def main(argv=None) -> int:
                 "median_faults_per_iteration": statistics.median(faults),
                 "final_field_sha256": sorted({r["final_field_sha256"] for r in runs})}
 
-    def layer_times(runs):
-        summary = {}
-        for name in runs[0]:
-            seconds = [r[name]["min_s"] for r in runs]
-            steps = runs[0][name]["steps"]
-            if steps is None:
-                steps = runs[0][name]["n_inner_steps"]
-            per = 1e6 / steps if name == "descent_step_4x4" else 1e3
-            unit = "us_per_step" if name == "descent_step_4x4" else "ms"
-            summary[name] = {f"min_{unit}": min(seconds) * per,
-                             f"median_{unit}": statistics.median(seconds) * per,
-                             "steps": sorted({r[name]["steps"] for r in runs})}
-        return summary
-
     result = {
-        "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "numpy": {side: numpy_version(tree) for side, tree in trees.items()}},
         "method": __doc__.split("\n\n", 2)[2].strip(),
         "whole_runs_500_iterations": {side: {engine: times(runs) for engine, runs in by.items()}
                                       for side, by in timed.items()},
-        "descent_layers": {side: layer_times(runs) for side, runs in layers.items()},
+        "per_layer_traced": per_layer,
         "quality_pools": {side: {engine: {"summary": pool_summary(runs, POOLS[engine][2]),
                                           "runs": runs}
                                  for engine, runs in by.items()}
@@ -323,9 +268,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--layers"]:
-        print(json.dumps(time_layers()))
-    elif sys.argv[1:2] == ["--run"]:
+    if sys.argv[1:2] == ["--run"]:
         kind, phantom_kind, pattern_seed, run_seed = sys.argv[2:]
         print(json.dumps(run_once(kind, phantom_kind, int(pattern_seed), int(run_seed))))
     else:

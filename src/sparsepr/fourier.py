@@ -28,8 +28,9 @@ def forward_transform(field, *, out=None) -> np.ndarray:
 def inverse_transform(spectrum, *, out=None) -> np.ndarray:
     """Inverse DFT, normalized so that inverse(forward(g)) == g.
 
-    The two 1D passes are ifft2's own, in its order. The second runs in
-    place, where ifft2(out=) allocates grid-sized temporaries.
+    The two 1D passes are ifft2's own, in its order, the second in place.
+    ifft2(out=) would be wrong: numpy 2.4.6's ifft2 passes out=None to its
+    1D passes, so it returns a new array and never writes `out`.
     """
     out = np.fft.ifft(as_complex_field(spectrum), axis=-1, out=out)
     return np.fft.ifft(out, axis=-2, out=out)

@@ -22,7 +22,9 @@ complex cast; gradients, stencils and the descent return complex128.
 A function that takes a keyword `out` writes there what it would
 otherwise allocate and returns it, with the same bits; `out` must not
 overlap an input. A field-shaped `out` is complex128; a penalty value's
-`out` receives the smoothed modulus r it sums, a float64 array.
+`out` receives the smoothed modulus r it sums, a float64 array. The
+stencils write through flat views, so gradient_of's out.gx and the `out`
+of tv_gradient and huber_gradient must be C-contiguous (else ValueError).
 """
 
 from __future__ import annotations
@@ -184,9 +186,8 @@ class Gradient(NamedTuple):
 
 
 def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
-    """The field's Gradient (`out`, a Gradient of the field's shape, is filled
-    and returned). The stencil differences gx through a flat view, which a
-    strided gx would copy, so a non-C-contiguous out.gx is refused."""
+    """The field's Gradient (`out`, a Gradient of the field's shape whose gx
+    is C-contiguous, is filled and returned)."""
     f = np.ascontiguousarray(field, np.complex128)
     if out is not None and not out.gx.flags.c_contiguous:
         raise ValueError("gradient_of's out.gx must be C-contiguous")
@@ -254,9 +255,10 @@ def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> n
     the bits are the quotient's. They equal those of two real products by
     1/c for finite input only: where a part is inf, b*0 makes both parts of
     the pixel NaN, as in the quotient, where those products make one. The
-    quotients are new contiguous arrays, so they skip discrete_divergence's
-    checks; a strided `out` receives a copy of the kernel's result.
+    quotients are contiguous, so they skip discrete_divergence's checks.
     """
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("a penalty gradient's out must be C-contiguous")
     if grad is None:
         grad = gradient_of(field)
     if r is None:
@@ -266,13 +268,10 @@ def _modulus_gradient(field, s, grad: Gradient | None, r, out, weight=None) -> n
     np.reciprocal(r if weight is None else np.multiply(r, weight, out=inv), out=inv)
     px = np.multiply(grad.gx, py, order="C")
     np.multiply(grad.gy, py, out=py)
-    div = out if out is not None and out.flags.c_contiguous else np.empty_like(px)
+    div = np.empty_like(px) if out is None else out
     parts = _divergence_into(px, py, div).view(np.float64)
     np.negative(parts, out=parts)  # part by part: numpy's complex negative is a scalar loop
-    if out is None or out is div:
-        return div
-    np.copyto(out, div)
-    return out
+    return div
 
 
 def tv_gradient(field, epsilon, grad: Gradient | None = None, *, scale=None,

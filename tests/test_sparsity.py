@@ -734,9 +734,10 @@ def _layouts(a):
 
 
 def _strided_outs(shape, dtype=np.complex128):
-    """NaN-filled arrays that are not C-contiguous: every second column of a
-    wider array (whose rows still flatten to one stride) and a window of a
-    larger one (whose rows do not)."""
+    """NaN-filled views: every second column of a wider array (whose rows
+    still flatten to one stride) and a window of a larger one (whose rows do
+    not). Neither is C-contiguous unless `shape` has one row: then the
+    window is, and a 1x1 column is."""
     h, w = shape
     return (np.full((h, 2 * w), np.nan, dtype)[:, ::2],
             np.full((h + 1, w + 2), np.nan, dtype)[1:, 1:-1])
@@ -882,6 +883,13 @@ def test_penalty_gradients_match_the_complex_quotient_bit_for_bit(f, scales, mod
             got = gradient(f, param, fortran, scale=None if own_r else np.asfortranarray(r))
             assert got.tobytes() == expected.tobytes()
             for out in (np.empty_like(f), *_strided_outs(f.shape, f.dtype)):
+                if not out.flags.c_contiguous:
+                    # the divergence writes `out` through a flat view: a
+                    # strided one is refused before any of it is written
+                    with pytest.raises(ValueError, match="C-contiguous"):
+                        gradient(f, param, grad, scale=r, out=out)
+                    assert np.isnan(out).all()
+                    continue
                 assert gradient(f, param, grad, scale=r, out=out) is out
                 assert out.tobytes() == expected.tobytes()
 
