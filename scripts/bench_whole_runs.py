@@ -3,20 +3,23 @@
     python scripts/bench_whole_runs.py --parent PARENT_TREE --change CHANGE_TREE \
         --repeats 5 --out BENCH_whole_runs.json
 
-A tree is a checkout of this repository; its `src/` is put first on
-PYTHONPATH. Every run is one fresh Python process, so the two trees never
-share a process or an allocator, and the two sides alternate: in repeat k
-the parent runs first for even k, the change for odd k.
+A tree is a checkout of this repository. Every run and every score is one
+fresh process of the tree's own CLI, `python -m sparsepr.cli` with the
+tree's `src/` first on PYTHONPATH: runs are `sparsepr sweep` cells, scores
+are `sparsepr metrics`. This script imports neither sparsepr nor numpy, so
+the two trees never share a process or an allocator. A command that exits
+non-zero, or a sweep that lists a failed cell, stops the gate with its
+stderr; a failed sweep keeps its temporary directory. The two sides
+alternate: in repeat k the parent runs first for even k, the change for odd k.
 
 Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
 0.9, 500 iterations and the default PenaltySpec of its engine.
 
-- Timed runs: `--repeats` runs of `hio-tv` (binary phantom, pattern seed 1)
-  and of `hio-huber` (gray phantom, pattern seed 0), run seed 0, per side.
-  The time is the wall time of `run_hio` alone, and the page faults are the
-  minor page faults of its process during `run_hio` (the
-  `getrusage(RUSAGE_SELF).ru_minflt` delta) per iteration; min and median
-  of each are reported.
+- Timed runs: `--repeats` runs of `hio` and `hio-tv` (binary phantom,
+  pattern seed 1) and of `hio-huber` (gray phantom, pattern seed 0), run
+  seed 0, per side, each a one-cell sweep at `--jobs 1` in its own process.
+  The time is the cell JSON's `wall_time_s`, the wall time of `run_hio`
+  alone; min and median are reported.
 - Per-layer metrics: one run of the tree's own `benchmarks/run.py
   --workload W --seed 0 --trace 1`, from the tree's root, for `tv-binary`
   and then `huber-gray`, the sides alternating as above. These run first,
@@ -27,16 +30,18 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   window, which earlier versions of this script timed, is not measured: it
   served the tuning of the Armijo line search, which is no longer pursued.
 - Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
-  and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4. Each run
-  gives its twin flag, its phase RMSE against the truth and its final
-  penalty over the truth's (both from `retrieval.penalty_value`). A run is
-  recovered when it has no twin and a phase RMSE under its pool's
-  tolerance: 0.01 rad for `hio-tv`, 0.15 rad for `hio-huber`, the
-  benchmark's tolerances for these engines. Each pool also counts its runs
-  recovered at 0.01 rad, so the two pools are read at one tolerance. The
-  pool runs go `os.cpu_count()` at a time, each in its own fresh process,
-  in the alternating order above. Pools report no time, so the `seconds`
-  recorded with each pool run is a time under that load, not a serial one.
+  and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4: one sweep
+  per side and pattern seed at `--jobs os.cpu_count()`, the sides
+  alternating over pattern seeds. A run's twin flag and phase RMSE are the
+  `metrics` of its reconstruction against the sweep's truth.prf1 and
+  support.prf1; its penalty over the truth's is its `tv_in_support`
+  (hio-tv) or `huber_in_support` (hio-huber) over that of the `metrics` of
+  truth.prf1 itself. A run is recovered when it has no twin and a phase
+  RMSE under its pool's tolerance: 0.01 rad for `hio-tv`, 0.15 rad for
+  `hio-huber`, the benchmark's tolerances for these engines. Each pool also
+  counts its runs recovered at 0.01 rad, so the two pools are read at one
+  tolerance. Pools report no time, so the `seconds` recorded with each
+  pool run is a time under that load, not a serial one.
 - Tier-1: TIER1_ROUNDS rounds of the tree's whole pytest suite per side,
   from the tree's root, alternating as above (parent, change, change,
   parent for two rounds); every run's wall time and pytest's summary line,
@@ -50,8 +55,8 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   `wc -l` counts them) and its code lines, the lines that hold a token
   other than a comment, a docstring or layout (newline, indent, dedent).
 
-Each run also records the SHA-256 of its final field, so a change that
-should not move a bit can be checked run by run.
+Each run also records the SHA-256 of its final field (its PRF1 payload), so
+a change that should not move a bit can be checked run by run.
 """
 
 from __future__ import annotations
@@ -60,25 +65,28 @@ import argparse
 import ast
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
-import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # benchmark workloads whose per-layer metrics are recorded
 TRACED = ("tv-binary", "huber-gray")
-# engine -> (penalty kind, phantom kind, pattern seed of the timed runs)
-ENGINES = {"hio-tv": ("tv", "binary", 1), "hio-huber": ("huber", "gray", 0)}
-# engine -> (pattern seeds, run seeds, phase RMSE tolerance of a recovered run)
-POOLS = {"hio-tv": (range(1, 5), range(10), 0.01), "hio-huber": (range(4), range(5), 0.15)}
+# engine -> (phantom kind, pattern seed of the timed runs)
+ENGINES = {"hio": ("binary", 1), "hio-tv": ("binary", 1), "hio-huber": ("gray", 0)}
+# engine -> (pattern seeds, run seeds, phase RMSE tolerance of a recovered run,
+#            the `metrics` field of its penalty)
+POOLS = {"hio-tv": (range(1, 5), range(10), 0.01, "tv_in_support"),
+         "hio-huber": (range(4), range(5), 0.15, "huber_in_support")}
+# Bytes of a PRF1 file's header; the payload, the field's samples, follows it
+PRF1_HEADER = 16
 # Tier-1 suite runs per side, in alternating order
 TIER1_ROUNDS = 2
 # Tokens that make no line a code line (comments and layout)
@@ -86,49 +94,51 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
             tokenize.ENDMARKER}
 
 
-def run_once(kind: str, phantom_kind: str, pattern_seed: int, run_seed: int) -> dict:
-    """One 500-iteration run with the sparsepr on sys.path (child process)."""
-    import numpy as np
-
-    import sparsepr as sp
-
-    spec = sp.PhantomSpec(image_size=128, support_size=60, kind=phantom_kind,
-                          pattern_seed=pattern_seed)
-    truth = sp.phantom(spec)
-    magnitude = sp.magnitude_of(sp.forward_transform(truth))
-    mask = sp.make_support(128, 60)
-    penalty = sp.PenaltySpec(kind=kind)
-    config = sp.RetrievalConfig(beta=0.9, n_iterations=500, seed=run_seed, penalty=penalty)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    report = sp.run_hio(magnitude, mask, config)
-    seconds = time.perf_counter() - start
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    final = report.final_field
-    return {
-        "seconds": seconds,
-        "faults_per_iteration": faults / config.n_iterations,
-        "twin_present": bool(sp.twin_correlations(final, truth, mask).twin_present),
-        "phase_rmse": float(sp.phase_rmse(final, truth, mask)),
-        "penalty_over_truth": (sp.penalty_value(final, mask, penalty)
-                               / sp.penalty_value(truth, mask, penalty)),
-        "final_field_sha256": hashlib.sha256(np.ascontiguousarray(final).tobytes()).hexdigest(),
-    }
-
-
 def order(k: int) -> list[str]:
     """The sides in repeat k: the parent first for even k, the change for odd k."""
     return ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
 
 
-def spawn_run(tree: Path, engine: str, pattern_seed: int, run_seed: int) -> dict:
-    """run_once in a fresh process that imports sparsepr from `tree`."""
-    kind, phantom_kind, _ = ENGINES[engine]
+def cli(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """`python -m sparsepr.cli ARGS` on `tree`'s src/; a non-zero exit stops the gate."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, __file__, "--run", kind, phantom_kind,
-                          str(pattern_seed), str(run_seed)],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+    done = subprocess.run([sys.executable, "-m", "sparsepr.cli", *args],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"sparsepr {' '.join(args)} of {tree} exited {done.returncode}:\n{done.stderr}")
+    return done
+
+
+def sweep(tree: Path, engine: str, pattern_seed: int, run_seeds, jobs: int,
+          field: str | None = None) -> list[dict]:
+    """One `sparsepr sweep` of `engine` over `run_seeds`: each run's seconds and
+    final-field SHA-256 and, given the `metrics` field of the engine's penalty,
+    its scores. A failed sweep keeps its temporary directory for inspection."""
+    out = Path(tempfile.mkdtemp(prefix="bench_whole_runs_"))
+    config = {"phantom": {"image_size": 128, "support_size": 60, "kind": ENGINES[engine][0],
+                          "pattern_seed": pattern_seed},
+              "retrieval": {"beta": 0.9, "n_iterations": 500},
+              "seeds": list(run_seeds), "algorithms": [engine], "output_dir": str(out)}
+    (out / "sweep.json").write_text(json.dumps(config))
+    done = cli(tree, "sweep", "--config", str(out / "sweep.json"), "--jobs", str(jobs))
+    failures = json.loads((out / "aggregate.json").read_text())["failures"]
+    if failures:
+        sys.exit(f"sweep {out / 'sweep.json'} of {tree} failed {failures}:\n{done.stderr}")
+    recons = [out / f"recon_{engine}_{seed:08d}.prf1" for seed in run_seeds]
+    runs = [{"pattern_seed": pattern_seed, "run_seed": seed,
+             "seconds": json.loads(recon.with_suffix(".json").read_text())["wall_time_s"],
+             "final_field_sha256": hashlib.sha256(recon.read_bytes()[PRF1_HEADER:]).hexdigest()}
+            for seed, recon in zip(run_seeds, recons)]
+    if field:
+        truth, *scores = [json.loads(cli(tree, "metrics", "--recon", str(path), "--truth",
+                                         str(out / "truth.prf1"), "--mask",
+                                         str(out / "support.prf1")).stdout)
+                          for path in [out / "truth.prf1", *recons]]
+        for run, score in zip(runs, scores):
+            run.update(twin_present=score["twin_present"], phase_rmse=score["phase_rmse"],
+                       penalty_over_truth=score[field] / truth[field])
+    shutil.rmtree(out)
+    return runs
 
 
 def traced(tree: Path, workload: str) -> dict:
@@ -223,27 +233,20 @@ def main(argv=None) -> int:
             per_layer[side][workload] = traced(trees[side], workload)
     timed = {side: {engine: [] for engine in ENGINES} for side in trees}
     for k in range(args.repeats):
-        for engine, (_, _, pattern_seed) in ENGINES.items():
+        for engine, (_, pattern_seed) in ENGINES.items():
             for side in order(k):
-                timed[side][engine].append(spawn_run(trees[side], engine, pattern_seed, 0))
-    cases = [(side, engine, pattern_seed, run_seed)
-             for engine, (pattern_seeds, run_seeds, _) in POOLS.items()
-             for k, (pattern_seed, run_seed) in enumerate(itertools.product(pattern_seeds,
-                                                                            run_seeds))
-             for side in order(k)]
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as threads:
-        runs = list(threads.map(lambda case: spawn_run(trees[case[0]], *case[1:]), cases))
+                timed[side][engine] += sweep(trees[side], engine, pattern_seed, [0], 1)
     pools = {side: {engine: [] for engine in POOLS} for side in trees}
-    for (side, engine, pattern_seed, run_seed), run in zip(cases, runs):
-        pools[side][engine].append(dict(pattern_seed=pattern_seed, run_seed=run_seed, **run))
+    for engine, (pattern_seeds, run_seeds, _, field) in POOLS.items():
+        for k, pattern_seed in enumerate(pattern_seeds):
+            for side in order(k):
+                pools[side][engine] += sweep(trees[side], engine, pattern_seed, run_seeds,
+                                             os.cpu_count(), field)
     suites = tier1(trees)
 
     def times(runs):
         seconds = [r["seconds"] for r in runs]
-        faults = [r["faults_per_iteration"] for r in runs]
         return {"min_s": min(seconds), "median_s": statistics.median(seconds), "runs_s": seconds,
-                "min_faults_per_iteration": min(faults),
-                "median_faults_per_iteration": statistics.median(faults),
                 "final_field_sha256": sorted({r["final_field_sha256"] for r in runs})}
 
     result = {
@@ -268,8 +271,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--run"]:
-        kind, phantom_kind, pattern_seed, run_seed = sys.argv[2:]
-        print(json.dumps(run_once(kind, phantom_kind, int(pattern_seed), int(run_seed))))
-    else:
-        sys.exit(main())
+    sys.exit(main())

@@ -721,6 +721,31 @@ def test_sweep_reports_one_final_penalty(tmp_path, alg):
     assert aggregate["algorithms"][alg]["per_run"][0]["final_penalty"] == cell["final_penalty"]
 
 
+@pytest.mark.parametrize("alg, kind", [("hio-tv", "binary"), ("hio-huber", "gray")])
+def test_metrics_penalties_are_penalty_value_and_the_cells_final_penalty(tmp_path, capsys, alg,
+                                                                         kind):
+    # scripts/bench_whole_runs.py scores a run's penalty over the truth's
+    # from `metrics`, so each penalty field must be penalty_value of its
+    # kind, and the field of the run's own kind its cell's final_penalty.
+    cfg = sweep_config(tmp_path, seeds=[0], algorithms=[alg])
+    payload = json.loads(cfg.read_text())
+    payload["phantom"]["kind"] = kind
+    cfg.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out = tmp_path / "sweep_out"
+    capsys.readouterr()
+    assert main(["metrics", "--recon", str(out / f"recon_{alg}_00000000.prf1"),
+                 "--truth", str(out / "truth.prf1"), "--mask", str(out / "support.prf1")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    recon = read_field_file(out / f"recon_{alg}_00000000.prf1")
+    mask = make_support(32, 12)
+    for field, penalty in (("tv_in_support", "tv"), ("huber_in_support", "huber")):
+        assert printed[field] == retrieval.penalty_value(recon, mask, PenaltySpec(kind=penalty))
+    cell = json.loads((out / f"recon_{alg}_00000000.json").read_text())
+    own = "tv_in_support" if cli.ALGORITHMS[alg] == "tv" else "huber_in_support"
+    assert printed[own] == cell["final_penalty"]
+
+
 class _SyncPool:
     """A ProcessPoolExecutor stand-in that runs each cell when submitted."""
 
