@@ -17,9 +17,9 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
 
 - Timed runs: `--repeats` runs of `hio` and `hio-tv` (binary phantom,
   pattern seed 1) and of `hio-huber` (gray phantom, pattern seed 0), run
-  seed 0, per side, each a one-cell sweep at `--jobs 1` in its own process.
-  The time is the cell JSON's `wall_time_s`, the wall time of `run_hio`
-  alone; min and median are reported.
+  seed 0, per side, each a one-cell sweep in its own process (one cell
+  starts no pool). The time is the cell JSON's `wall_time_s`, the wall
+  time of `run_hio` alone; min and median are reported.
 - Per-layer metrics: one run of the tree's own `benchmarks/run.py
   --workload W --seed 0 --trace 1`, from the tree's root, for `tv-binary`
   and then `huber-gray`, the sides alternating as above. These run first,
@@ -31,17 +31,18 @@ Every run is the paper's problem: a 128x128 grid, a 60x60 support, beta
   served the tuning of the Armijo line search, which is no longer pursued.
 - Quality pools: `hio-tv` over binary pattern seeds 1-4 x run seeds 0-9,
   and `hio-huber` over gray pattern seeds 0-3 x run seeds 0-4: one sweep
-  per side and pattern seed at `--jobs os.cpu_count()`, the sides
-  alternating over pattern seeds. A run's twin flag and phase RMSE are the
-  `metrics` of its reconstruction against the sweep's truth.prf1 and
-  support.prf1; its penalty over the truth's is its `tv_in_support`
-  (hio-tv) or `huber_in_support` (hio-huber) over that of the `metrics` of
-  truth.prf1 itself. A run is recovered when it has no twin and a phase
-  RMSE under its pool's tolerance: 0.01 rad for `hio-tv`, 0.15 rad for
-  `hio-huber`, the benchmark's tolerances for these engines. Each pool also
-  counts its runs recovered at 0.01 rad, so the two pools are read at one
-  tolerance. Pools report no time, so the `seconds` recorded with each
-  pool run is a time under that load, not a serial one.
+  per side and pattern seed at `--jobs` the CPUs the gate may run on
+  (`os.sched_getaffinity`), the sides alternating over pattern seeds. A
+  run's twin flag and phase RMSE are the `metrics` of its reconstruction
+  against the sweep's truth.prf1 and support.prf1; its penalty over the
+  truth's is its `tv_in_support` (hio-tv) or `huber_in_support`
+  (hio-huber) over that of the `metrics` of truth.prf1 itself. A run is
+  recovered when it has no twin and a phase RMSE under its pool's
+  tolerance: 0.01 rad for `hio-tv`, 0.15 rad for `hio-huber`, the
+  benchmark's tolerances for these engines. Each pool also counts its runs
+  recovered at 0.01 rad, so the two pools are read at one tolerance. Pools
+  report no time, so the `seconds` recorded with each pool run is a time
+  under that load, not a serial one.
 - Tier-1: TIER1_ROUNDS rounds of the tree's whole pytest suite per side,
   from the tree's root, alternating as above (parent, change, change,
   parent for two rounds); every run's wall time and pytest's summary line,
@@ -109,18 +110,19 @@ def cli(tree: Path, *args: str) -> subprocess.CompletedProcess:
     return done
 
 
-def sweep(tree: Path, engine: str, pattern_seed: int, run_seeds, jobs: int,
-          field: str | None = None) -> list[dict]:
-    """One `sparsepr sweep` of `engine` over `run_seeds`: each run's seconds and
-    final-field SHA-256 and, given the `metrics` field of the engine's penalty,
-    its scores. A failed sweep keeps its temporary directory for inspection."""
+def sweep(tree: Path, engine: str, pattern_seed: int, run_seeds, field: str = "") -> list[dict]:
+    """One `sparsepr sweep` of `engine` over `run_seeds`, one worker per CPU the
+    gate may use: each run's seconds and final-field SHA-256 and, given the
+    `metrics` field of the engine's penalty, its scores. A failed sweep keeps
+    its temporary directory for inspection."""
     out = Path(tempfile.mkdtemp(prefix="bench_whole_runs_"))
     config = {"phantom": {"image_size": 128, "support_size": 60, "kind": ENGINES[engine][0],
                           "pattern_seed": pattern_seed},
               "retrieval": {"beta": 0.9, "n_iterations": 500},
               "seeds": list(run_seeds), "algorithms": [engine], "output_dir": str(out)}
     (out / "sweep.json").write_text(json.dumps(config))
-    done = cli(tree, "sweep", "--config", str(out / "sweep.json"), "--jobs", str(jobs))
+    done = cli(tree, "sweep", "--config", str(out / "sweep.json"),
+               "--jobs", str(len(os.sched_getaffinity(0))))
     failures = json.loads((out / "aggregate.json").read_text())["failures"]
     if failures:
         sys.exit(f"sweep {out / 'sweep.json'} of {tree} failed {failures}:\n{done.stderr}")
@@ -235,13 +237,12 @@ def main(argv=None) -> int:
     for k in range(args.repeats):
         for engine, (_, pattern_seed) in ENGINES.items():
             for side in order(k):
-                timed[side][engine] += sweep(trees[side], engine, pattern_seed, [0], 1)
+                timed[side][engine] += sweep(trees[side], engine, pattern_seed, [0])
     pools = {side: {engine: [] for engine in POOLS} for side in trees}
     for engine, (pattern_seeds, run_seeds, _, field) in POOLS.items():
         for k, pattern_seed in enumerate(pattern_seeds):
             for side in order(k):
-                pools[side][engine] += sweep(trees[side], engine, pattern_seed, run_seeds,
-                                             os.cpu_count(), field)
+                pools[side][engine] += sweep(trees[side], engine, pattern_seed, run_seeds, field)
     suites = tier1(trees)
 
     def times(runs):

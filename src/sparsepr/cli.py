@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -23,7 +24,7 @@ import numpy as np
 from . import experiment, fourier, retrieval
 from .fieldfile import read_field_file, write_field_file
 from .grids import SettingError, as_mask
-from .sparsity import PenaltySpec, select_delta, huber_value, tv_value
+from .sparsity import PenaltySpec, select_delta
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -76,8 +77,8 @@ def _load_finite(path, what: str) -> np.ndarray:
 
 
 def _load_mask(path) -> np.ndarray:
-    # NaN != 0, so a non-finite sample would silently join the support.
-    return as_mask(_load_finite(path, "mask").real != 0)
+    # as_mask's rule: a non-zero sample is support. The finite check names the file.
+    return as_mask(_load_finite(path, "mask"))
 
 
 # ---------------------------------------------------------------- phantom
@@ -251,8 +252,9 @@ def cmd_sweep(args) -> int:
     ]
     results = {}
     failures = {}
-    # A pool starts all its workers at once, so it gets no more than there are cells.
-    workers = min(args.jobs, len(cells))
+    # A pool starts all its workers at once, so it gets no more than there
+    # are cells, nor than the CPUs this process may run on.
+    workers = min(args.jobs, len(cells), len(os.sched_getaffinity(0)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         # One worker runs each cell in this process when its result is read.
@@ -292,15 +294,14 @@ def cmd_metrics(args) -> int:
     truth = _load_finite(args.truth, "truth")
     mask = _load_mask(args.mask)
     metrics = experiment.twin_correlations(recon, truth, mask)
-    delta = select_delta(recon, mask)
     payload = {
         "c_up": metrics.c_up,
         "c_twin": metrics.c_twin,
         "twin_present": metrics.twin_present,
         "phase_rmse": experiment.phase_rmse(recon, truth, mask),
-        "tv_in_support": tv_value(recon, mask),
-        "huber_in_support": huber_value(recon, delta, mask),
-        "huber_delta": delta,
+        "tv_in_support": retrieval.penalty_value(recon, mask, PenaltySpec("tv")),
+        "huber_in_support": retrieval.penalty_value(recon, mask, PenaltySpec("huber")),
+        "huber_delta": select_delta(recon, mask),
     }
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     print()

@@ -36,10 +36,9 @@ import numpy as np
 
 from .grids import SettingError, as_mask, bounding_box, check_number, check_same_shape
 
-# The descent's TV smoothing is EPSILON times the field's max modulus,
-# and never below EPSILON_FLOOR.
+# The descent's TV smoothing is EPSILON times the window's max modulus, so
+# it scales with the data.
 EPSILON = 1e-8
-EPSILON_FLOOR = 1e-12
 # Armijo line search: the first trial step (before its 1/max(1, max|g|)
 # rescaling), sufficient-decrease fraction, step shrink factor and the
 # number of shrinks tried before giving up. T_INIT is deliberately small:
@@ -62,9 +61,9 @@ class PenaltySpec:
 
     Huber's delta is select_delta's median |grad g| over the support,
     recomputed at every descent step and for every reported penalty. The
-    descent's numerical constants are module constants: EPSILON and
-    EPSILON_FLOOR for the TV smoothing, T_INIT, LS_ALPHA, LS_SHRINK and
-    MAX_BACKTRACK_STEPS for the line search.
+    descent's numerical constants are module constants: EPSILON for the TV
+    smoothing, T_INIT, LS_ALPHA, LS_SHRINK and MAX_BACKTRACK_STEPS for the
+    line search.
     """
 
     kind: str = "none"
@@ -385,16 +384,17 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     or a SupportWindow); only pixels where the mask is true are updated,
     everything else is returned unchanged bit-for-bit.
 
-    Both kinds take one step body at smoothing s: EPSILON * max|g| for TV,
-    select_delta's median of the current iterate at every Huber step. A step
-    calls the kind's gradient function, then backtracking_step with the
-    gradient, -0 outside the support, and the kind's value function. The
-    accepted trial is the next iterate: its Gradient, penalty value and
-    smoothed modulus r are the next step's `grad`, `p0` and `scale`, except
-    that after select_delta the value function recomputes r and `p0` at the
-    new delta. A median delta with delta**2 < 16 n / (largest float64), n
-    the window's pixels, ends the block: on a field that flat no Huber step
-    fits in float64. An all-support window is region None.
+    Both kinds take one step body at smoothing s: EPSILON * max|g| of the
+    window for TV, formed at the first step and kept, select_delta's median
+    of the current iterate at every Huber step. A step calls the kind's
+    gradient function, then backtracking_step with the gradient, -0 outside
+    the support, and the kind's value function. The accepted trial is the
+    next iterate: its Gradient, penalty value and smoothed modulus r are the
+    next step's `grad`, `p0` and `scale`, except that after select_delta the
+    value function recomputes r and `p0` at the new delta. An s with s**2 <
+    16 n / (largest float64), n the window's pixels, ends the block: no step
+    of either kind fits in float64, and an all-zero window has s = 0. An
+    all-support window is region None.
 
     The window-sized arrays the steps write are allocated once per call.
 
@@ -416,9 +416,9 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     local = None if inside is None else SupportWindow(sub.shape, slice(None), slice(None), inside)
     tv = spec.kind == "tv"
     value, gradient_fn = (smoothed_tv_value, tv_gradient) if tv else (huber_value, huber_gradient)
-    # |d| <= (2 + sqrt(2)) / delta at every pixel, so for delta**2 at or
-    # above this neither 1/(delta*r) nor ||d||^2 can overflow
-    min_delta_sq = 16 * sub.size / np.finfo(np.float64).max
+    # For s**2 at or above this no step overflows: 1/r <= 1/s, and |d| is at
+    # most 2 + sqrt(2) for TV, (2 + sqrt(2)) / delta for Huber, at every pixel
+    min_s_sq = 16 * sub.size / np.finfo(np.float64).max
 
     # The line search reads `sub` while it writes a trial, so the iterate
     # alternates between two arrays and never lands in the caller's field.
@@ -441,13 +441,10 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     # turn every step into t = 0 and the run would go on as if it converged.
     with np.errstate(over="raise"):
         gradient_of(sub, out=grad)
-        if tv:
-            s = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
-            p0 = value(sub, s, local, grad, out=per_pixel)
-        for _ in range(spec.n_inner_steps):
-            if not tv:
-                s = select_delta(sub, local, grad)
-                if s * s < min_delta_sq:
+        for step in range(spec.n_inner_steps):
+            if step == 0 or not tv:
+                s = EPSILON * float(np.max(np.abs(sub))) if tv else select_delta(sub, local, grad)
+                if s * s < min_s_sq:
                     break
                 p0 = value(sub, s, local, grad, out=per_pixel)
             gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)

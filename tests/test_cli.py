@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 from concurrent.futures import Future
 from unittest.mock import patch
 
@@ -22,6 +23,7 @@ from sparsepr.experiment import (PhantomSpec, binary_phase_phantom, gray_phase_p
                                  make_support, run_statistics)
 from sparsepr.fieldfile import read_field_file, write_field_file
 from sparsepr.fourier import forward_transform, magnitude_of
+from sparsepr.grids import as_mask
 from sparsepr.sparsity import PenaltySpec
 
 
@@ -444,6 +446,21 @@ def test_retrieve_refuses_non_finite_mask(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_retrieve_reads_a_complex_mask_as_as_mask_does(tmp_path):
+    # a non-zero sample is support, an imaginary-only one too, as in run_hio
+    _, support, magnitude = make_inputs(tmp_path)
+    mask = support.astype(np.complex128)
+    mask[:, ::2] *= 1j
+    write_field_file(mask, tmp_path / "complex_support.prf1")
+    out = tmp_path / "run"
+    assert main(["retrieve", "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "complex_support.prf1"), "--alg", "hio",
+                 "--iters", "3", "--out", str(out)]) == 0
+    expected = retrieval.run_hio(magnitude, as_mask(mask),
+                                 retrieval.RetrievalConfig(n_iterations=3)).final_field
+    assert read_field_file(out / "recon.prf1").tobytes() == expected.tobytes()
+
+
 def test_metrics_refuses_non_finite_mask(tmp_path, capsys):
     make_inputs(tmp_path)
     mask = _write_mask_with(tmp_path, np.nan)
@@ -769,10 +786,15 @@ class _SyncPool:
         return future
 
 
-@pytest.mark.parametrize("seeds, jobs, pools", [
-    ([0, 1], "4", [2]), ([0, 1, 2], "2", [2]), ([0], "4", []), ([0, 1], "1", [])],
-    ids=["2cells-jobs4", "3cells-jobs2", "1cell-jobs4", "2cells-jobs1"])
-def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds, jobs, pools):
+@pytest.mark.parametrize("seeds, jobs, cpus, pools", [
+    ([0, 1], "4", 8, [2]), ([0, 1, 2], "2", 8, [2]), ([0], "4", 8, []), ([0, 1], "1", 8, []),
+    ([0, 1, 2, 3], "8", 2, [2]), ([0, 1, 2], "3", 1, [])],
+    ids=["2cells-jobs4", "3cells-jobs2", "1cell-jobs4", "2cells-jobs1", "4cells-jobs8-2cpus",
+         "3cells-jobs3-1cpu"])
+def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds, jobs, cpus,
+                                                    pools):
+    # nor more workers than the CPUs the sweep may run on; no process starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(_SyncPool, "created", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SyncPool)
     cfg = sweep_config(tmp_path, seeds=seeds, algorithms=["hio"], iters=2)

@@ -1,11 +1,15 @@
 """The suite's Hypothesis policy lives in conftest.py and nowhere else."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import settings
 
 TESTS = Path(__file__).parent
+ROOT = TESTS.parent
 # settings that decide whether a run's draws and verdict follow from the tree
 POLICY = {"deadline", "database", "derandomize"}
 
@@ -36,3 +40,21 @@ def test_no_test_file_sets_the_policy_itself():
             elif name in {"seed", "register_profile", "load_profile"}:
                 offences.append(f"{path.name}:{node.lineno} {name}(...)")
     assert offences == []
+
+
+def _verbose_draws(*selection) -> str:
+    """Hypothesis's verbose report, every example tried, of a pytest run of `selection`."""
+    done = subprocess.run([sys.executable, "-m", "pytest", "-s", "-p", "no:terminal",
+                           "-p", "no:cacheprovider", "--hypothesis-verbosity=verbose", *selection],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+def test_a_property_test_draws_the_same_examples_under_any_selection():
+    # the second selection also loads sparsepr.cli and the benchmark's modules
+    test = "tests/test_sparsity.py::test_select_delta_is_bit_equal_to_the_median_composition"
+    alone = _verbose_draws(test)
+    assert "Trying example" in alone
+    assert _verbose_draws(test, "benchmarks/test_benchmark.py::test_spec_matches_code") == alone

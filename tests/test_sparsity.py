@@ -12,7 +12,6 @@ from sparsepr import PhantomSpec, binary_phase_phantom, make_support, sparsity
 from sparsepr.grids import SettingError
 from sparsepr.sparsity import (
     EPSILON,
-    EPSILON_FLOOR,
     Gradient,
     PenaltySpec,
     backtracking_step,
@@ -546,27 +545,37 @@ def test_descent_steps_through_the_public_functions(monkeypatch, kind):
 
 # ------------------------------------------------------------ descent properties
 
+def descent_smoothing(sub, submask, kind):
+    """The smoothing s a descent step takes on the window iterate `sub`:
+    EPSILON * max|sub| for TV, the median delta for Huber. None if s**2 <
+    16 n / (largest float64) over the window's n pixels, which ends the block."""
+    s = EPSILON * float(np.max(np.abs(sub))) if kind == "tv" else select_delta(sub, submask)
+    return None if s * s < 16 * sub.size / np.finfo(np.float64).max else s
+
+
 def reference_descent(field, mask, spec, iterates=None):
     """The descent block composed from the public functions: per step one
-    tv_gradient or select_delta + huber_gradient, then backtracking_step
-    with the penalty's own value function. The next window iterate is
-    formed here as sub + t*direction, and appended to `iterates` if given."""
+    tv_gradient at the first step's smoothing or select_delta +
+    huber_gradient, then backtracking_step with the penalty's own value
+    function. The next window iterate is formed here as sub + t*direction,
+    and appended to `iterates` if given."""
     f = np.asarray(field)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     win = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     sub = f[win].copy()
     submask = mask[win]
-    if spec.kind == "tv":
-        eps = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
-    for _ in range(spec.n_inner_steps):
+    for step in range(spec.n_inner_steps):
+        if step == 0 or spec.kind == "huber":
+            s = descent_smoothing(sub, submask, spec.kind)
+        if s is None:
+            break
         if spec.kind == "tv":
-            grad = tv_gradient(sub, eps)
-            penalty = lambda g: smoothed_tv_value(g, eps, submask)  # noqa: E731
+            grad = tv_gradient(sub, s)
+            penalty = lambda g: smoothed_tv_value(g, s, submask)  # noqa: E731
         else:
-            delta = select_delta(sub, submask)
-            grad = huber_gradient(sub, delta)
-            penalty = lambda g, d=delta: huber_value(g, d, submask)  # noqa: E731
+            grad = huber_gradient(sub, s)
+            penalty = lambda g, d=s: huber_value(g, d, submask)  # noqa: E731
         direction = np.where(submask, -grad, 0)
         if not direction.any():
             break
@@ -623,16 +632,15 @@ def test_descent_is_bit_equal_to_public_composition(case):
 def test_descent_step_never_raises_the_penalty(case):
     field, mask, spec, t_init = case
     window = support_window(mask)
-    sub = field[window.rows, window.cols]
-    if spec.kind == "tv":
-        eps = max(EPSILON * float(np.max(np.abs(sub))), EPSILON_FLOOR)
-        penalty = lambda g: smoothed_tv_value(g, eps, mask)  # noqa: E731
-    else:
-        delta = select_delta(field, mask)
-        penalty = lambda g: huber_value(g, delta, mask)  # noqa: E731
+    s = descent_smoothing(field[window.rows, window.cols], window.mask, spec.kind)
     one_step = dataclasses.replace(spec, n_inner_steps=1)
     with patch.object(sparsity, "T_INIT", t_init):
-        assert penalty(sparsity_descent(field, mask, one_step)) <= penalty(field)
+        got = sparsity_descent(field, mask, one_step)
+    if s is None:  # the block ends before its step
+        assert got.tobytes() == np.asarray(field, np.complex128).tobytes()
+        return
+    value = smoothed_tv_value if spec.kind == "tv" else huber_value
+    assert value(got, s, mask) <= value(field, s, mask)
 
 
 def _paper_window_field():
@@ -816,15 +824,65 @@ def test_an_overflow_in_the_descent_raises_inside_its_block(kind):
             smoothed_tv_value(f[:2, :2] / 1e200, 1e200)
 
 
-@pytest.mark.parametrize("field", [[[6.36836718e-162, 0.0]], [[6.36836718e-162, 0.0, 0.0]]])
-def test_huber_descent_takes_no_step_on_a_field_too_flat_for_float64(field):
-    # the median delta's square is subnormal (two pixels) or 0 (three, the
-    # 1e-6 * peak fallback): 1/(delta*r) would overflow or divide by zero
+@pytest.mark.parametrize("field", [[[6.36836718e-162, 0.0]], [[6.36836718e-162, 0.0, 0.0]],
+                                   np.zeros((3, 4))])
+def test_descent_takes_no_step_on_a_field_too_flat_for_float64(field):
+    # TV's smoothing 1e-8 * max|g| squares to 0, and Huber's median delta to
+    # a subnormal (two pixels) or 0 (three, the 1e-6 * peak fallback): 1/r or
+    # 1/(delta*r) would overflow or divide by zero. An all-zero field has
+    # TV's s = 0 and a zero Huber gradient.
     f = np.array(field)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = sparsity_descent(f, np.ones(f.shape, dtype=bool), PenaltySpec(kind="huber"))
-    assert out.tobytes() == f.astype(np.complex128).tobytes()
+    for kind in ("tv", "huber"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sparsity_descent(f, np.ones(f.shape, dtype=bool), PenaltySpec(kind=kind))
+        assert out.tobytes() == f.astype(np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("k", [-20, -3, 3, 20])
+def test_tv_smoothing_scales_with_the_data(k):
+    # power-of-two scaling is exact, so the epsilon the descent hands
+    # tv_gradient on 2^k * f is 2^k times the one on f, bit for bit
+    f, mask = random_field((32, 32), 93), make_support(32, 12)
+    epsilons = []
+    real = sparsity.tv_gradient
+
+    def spy(field, epsilon, *args, **kwargs):
+        epsilons.append(epsilon)
+        return real(field, epsilon, *args, **kwargs)
+
+    with patch.object(sparsity, "tv_gradient", spy):
+        for scale in (1.0, 2.0**k):
+            sparsity_descent(scale * f, mask, PenaltySpec(kind="tv", n_inner_steps=1))
+    unit, scaled = epsilons
+    assert np.float64(scaled).tobytes() == np.float64(2.0**k * unit).tobytes()
+
+
+@pytest.mark.parametrize("kind, first", [("tv", -481), ("huber", -507)])
+def test_descent_steps_at_every_scale_its_bound_allows(kind, first):
+    """On a unit field scaled by 2^k the block calls backtracking_step at
+    every k whose smoothing s has s**2 >= 16 n / (largest float64), and ends
+    before the first call below it. On the 12x12 window the bound first
+    allows a step at k = `first`, at the far end of float64's range. From
+    k = -540 down, every Huber |grad|**2 underflows and select_delta falls
+    back to 1e-6, outside this test's range."""
+    f, mask = random_field((32, 32), 93), make_support(32, 12)
+    window = support_window(mask)
+    scales = [*range(first - 12, first + 13), -300, 0, 300]
+    stepped = []
+    step = sparsity.backtracking_step
+
+    def counting(*args, **kwargs):
+        stepped[-1] = True
+        return step(*args, **kwargs)
+
+    with patch.object(sparsity, "backtracking_step", counting):
+        for k in scales:
+            stepped.append(False)
+            sparsity_descent(2.0**k * f, mask, PenaltySpec(kind=kind, n_inner_steps=1))
+    bounded = [descent_smoothing(2.0**k * f[window.rows, window.cols], window.mask, kind)
+               is not None for k in scales]
+    assert stepped == bounded == [k >= first for k in scales]
 
 
 def _quotient_gradient(grad, scale):
