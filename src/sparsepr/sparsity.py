@@ -36,8 +36,8 @@ import numpy as np
 
 from .grids import SettingError, as_mask, bounding_box, check_number, check_same_shape
 
-# The descent's TV smoothing is EPSILON times the window's max modulus, so
-# it scales with the data.
+# TV's smoothing, and Huber's delta where the median |grad g| is 0, is
+# EPSILON times the window's max modulus, so it scales with the data.
 EPSILON = 1e-8
 # Armijo line search: the first trial step (before its 1/max(1, max|g|)
 # rescaling), sufficient-decrease fraction, step shrink factor and the
@@ -60,10 +60,10 @@ class PenaltySpec:
     n_inner_steps: gradient-descent steps per outer iteration.
 
     Huber's delta is select_delta's median |grad g| over the support,
-    recomputed at every descent step and for every reported penalty. The
-    descent's numerical constants are module constants: EPSILON for the TV
-    smoothing, T_INIT, LS_ALPHA, LS_SHRINK and MAX_BACKTRACK_STEPS for the
-    line search.
+    recomputed at every descent step and for every reported penalty, or
+    EPSILON * max|g| where that median is 0. The descent's numerical
+    constants are module constants: EPSILON for the smoothing, T_INIT,
+    LS_ALPHA, LS_SHRINK and MAX_BACKTRACK_STEPS for the line search.
     """
 
     kind: str = "none"
@@ -321,16 +321,17 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     |grad|, and the result has the bits of numpy's median of |grad|, whose
     mean of the middle pair also adds before it halves.
 
-    Falls back to 1e-6 * (max gradient magnitude, or 1 if that is zero or
-    NaN) when the median itself is zero, e.g. for a constant field, or when
-    a sample is NaN.
+    A median that is not positive (a constant field, a NaN sample) gives way
+    to TV's smoothing, EPSILON * max|field| over the window (0 where that
+    underflows), or to 1 where the window has no scale: all zero, a NaN
+    sample or no samples.
     """
     sub, submask = _restrict(field, region)
     if grad is None:
         grad = gradient_of(sub)
     sq = grad.mag_sq.flatten() if submask is None else grad.mag_sq[submask]  # copies
     if not sq.size:
-        return 1e-6
+        return 1.0
     k = (sq.size - 1) // 2
     sq.partition(k)
     # NaN sorts last, so a NaN sample makes sq[k] or `above` NaN.
@@ -338,8 +339,8 @@ def select_delta(field, region=None, grad: Gradient | None = None) -> float:
     med = np.sqrt(sq[k]) if sq.size % 2 else (np.sqrt(sq[k]) + np.sqrt(above)) / 2
     if med > 0 and not np.isnan(above):
         return float(med)
-    peak = float(np.sqrt(sq.max()))
-    return 1e-6 * (peak if peak > 0 else 1.0)
+    peak = float(np.max(np.abs(sub)))
+    return EPSILON * peak if peak > 0 else 1.0
 
 
 def backtracking_step(field, gradient, penalty, p0=None, *, out=None) -> float:
@@ -391,10 +392,11 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     the support, and the kind's value function. The accepted trial is the
     next iterate: its Gradient, penalty value and smoothed modulus r are the
     next step's `grad`, `p0` and `scale`, except that after select_delta the
-    value function recomputes r and `p0` at the new delta. An s with s**2 <
-    16 n / (largest float64), n the window's pixels, ends the block: no step
-    of either kind fits in float64, and an all-zero window has s = 0. An
-    all-support window is region None.
+    value function recomputes r and `p0` at the new delta. An s with s**2
+    not >= 16 n / (largest float64), n the window's pixels, ends the block:
+    no step of either kind fits in float64. On an all-zero or NaN window TV's
+    s is 0 or NaN, and Huber's delta 1 gives no step. An all-support window
+    is region None.
 
     The window-sized arrays the steps write are allocated once per call.
 
@@ -425,8 +427,6 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     trial, spare = np.empty(sub.shape, np.complex128), np.empty(sub.shape, np.complex128)
     gradient = np.empty(sub.shape, np.complex128)
     per_pixel = np.empty(sub.shape, np.float64)
-    grad = Gradient(np.empty(sub.shape, np.complex128), np.empty(sub.shape, np.complex128),
-                    np.empty(sub.shape, np.float64))
     last = None
 
     def penalty(g) -> float:
@@ -440,11 +440,11 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     # Left to numpy's warning, an overflow such as an infinite ||d||^2 would
     # turn every step into t = 0 and the run would go on as if it converged.
     with np.errstate(over="raise"):
-        gradient_of(sub, out=grad)
+        grad = gradient_of(sub)
         for step in range(spec.n_inner_steps):
             if step == 0 or not tv:
                 s = EPSILON * float(np.max(np.abs(sub))) if tv else select_delta(sub, local, grad)
-                if s * s < min_s_sq:
+                if not s * s >= min_s_sq:  # flat, underflowed or NaN
                     break
                 p0 = value(sub, s, local, grad, out=per_pixel)
             gradient_fn(sub, s, grad, scale=per_pixel, out=gradient)

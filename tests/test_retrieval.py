@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepr import retrieval, sparsity
-from sparsepr.experiment import binary_phase_phantom, gray_phase_phantom, make_support, PhantomSpec
+from sparsepr.experiment import (PhantomSpec, binary_phase_phantom, gray_phase_phantom,
+                                  make_support, phantom)
 from sparsepr.fourier import forward_transform, magnitude_of
 from sparsepr.grids import SettingError
 from sparsepr.retrieval import (
@@ -222,6 +223,24 @@ def test_seed_changes_trajectory():
         for s in (0, 1)
     ]
     assert not np.array_equal(reps[0].final_field, reps[1].final_field)
+
+
+@pytest.mark.parametrize("kind", ["binary", "gray"])
+def test_plain_hio_scales_with_the_data_bit_for_bit(kind):
+    # power-of-two scaling is exact, so with the data x 2^k plain HIO returns
+    # 2^k times the x1 field and penalty trace and the same relative residuals;
+    # the parts are scaled as reals, which keeps every signed zero
+    spec = PhantomSpec(kind=kind, image_size=32, support_size=12)
+    mask = make_support(32, 12)
+    magnitude = magnitude_of(forward_transform(phantom(spec)))
+    cfg = RetrievalConfig(n_iterations=60, penalty=PenaltySpec(kind="none"))
+    unit = run_hio(magnitude, mask, cfg)
+    for k in (-20, -3, 3, 20):
+        scaled = run_hio(2.0**k * magnitude, mask, cfg)
+        assert scaled.final_field.view(np.float64).tobytes() == (
+            2.0**k * unit.final_field.view(np.float64)).tobytes()
+        assert scaled.penalty_trace.tobytes() == (2.0**k * unit.penalty_trace).tobytes()
+        assert scaled.fourier_residual_trace.tobytes() == unit.fourier_residual_trace.tobytes()
 
 
 def test_sparse_run_with_zero_inner_steps_matches_plain():

@@ -265,9 +265,16 @@ def test_huber_matches_quadratic_gradient_for_large_delta():
 # ------------------------------------------------------------ delta rule
 
 def test_select_delta_constant_field_fallback():
+    # a zero median gives way to TV's smoothing EPSILON * max|g|, which scales
+    # with the data, and that to 1 where the window has no scale
     f = np.full((6, 6), 1 + 1j)
-    assert select_delta(f) == pytest.approx(1e-6)
-    assert select_delta(np.zeros((0, 3))) == 1e-6  # no samples at all
+    assert select_delta(f) == EPSILON * abs(1 + 1j)
+    assert select_delta(2.0**-600 * f) == 2.0**-600 * select_delta(f)
+    assert select_delta(np.zeros((3, 4))) == 1.0
+    assert select_delta(np.zeros((0, 3))) == 1.0  # no samples at all
+    assert select_delta(2.0**-1074 * f) == 0.0  # EPSILON * max|g| underflows
+    f[2, 3] = np.nan
+    assert select_delta(f) == 1.0
 
 
 def _ramp(steps):
@@ -313,8 +320,8 @@ def median_delta_oracle(field, region=None):
     med = float(np.median(mags))
     if med > 0:
         return med
-    peak = float(mags.max()) if mags.size else 0.0
-    return 1e-6 * (peak if peak > 0 else 1.0)
+    peak = float(np.abs(sub).max()) if mags.size else 0.0
+    return EPSILON * peak if peak > 0 else 1.0
 
 
 @st.composite
@@ -547,10 +554,11 @@ def test_descent_steps_through_the_public_functions(monkeypatch, kind):
 
 def descent_smoothing(sub, submask, kind):
     """The smoothing s a descent step takes on the window iterate `sub`:
-    EPSILON * max|sub| for TV, the median delta for Huber. None if s**2 <
-    16 n / (largest float64) over the window's n pixels, which ends the block."""
+    EPSILON * max|sub| for TV, the median delta for Huber. None if s**2 is
+    not >= 16 n / (largest float64) over the window's n pixels, NaN
+    included, which ends the block."""
     s = EPSILON * float(np.max(np.abs(sub))) if kind == "tv" else select_delta(sub, submask)
-    return None if s * s < 16 * sub.size / np.finfo(np.float64).max else s
+    return None if not s * s >= 16 * sub.size / np.finfo(np.float64).max else s
 
 
 def reference_descent(field, mask, spec, iterates=None):
@@ -828,9 +836,10 @@ def test_an_overflow_in_the_descent_raises_inside_its_block(kind):
                                    np.zeros((3, 4))])
 def test_descent_takes_no_step_on_a_field_too_flat_for_float64(field):
     # TV's smoothing 1e-8 * max|g| squares to 0, and Huber's median delta to
-    # a subnormal (two pixels) or 0 (three, the 1e-6 * peak fallback): 1/r or
-    # 1/(delta*r) would overflow or divide by zero. An all-zero field has
-    # TV's s = 0 and a zero Huber gradient.
+    # a subnormal (two pixels) or, where the median is 0 (three), its
+    # fallback 1e-8 * max|g| to 0: 1/r or 1/(delta*r) would overflow or
+    # divide by zero. An all-zero field has TV's s = 0 and a zero Huber
+    # gradient.
     f = np.array(field)
     for kind in ("tv", "huber"):
         with warnings.catch_warnings():
@@ -863,12 +872,12 @@ def test_descent_steps_at_every_scale_its_bound_allows(kind, first):
     """On a unit field scaled by 2^k the block calls backtracking_step at
     every k whose smoothing s has s**2 >= 16 n / (largest float64), and ends
     before the first call below it. On the 12x12 window the bound first
-    allows a step at k = `first`, at the far end of float64's range. From
-    k = -540 down, every Huber |grad|**2 underflows and select_delta falls
-    back to 1e-6, outside this test's range."""
+    allows a step at k = `first`, at the far end of float64's range, and
+    no k below it does, down to 2^-1074: where every Huber |grad|**2
+    underflows, select_delta's fallback EPSILON * max|g| scales too."""
     f, mask = random_field((32, 32), 93), make_support(32, 12)
     window = support_window(mask)
-    scales = [*range(first - 12, first + 13), -300, 0, 300]
+    scales = [*range(-1074, first + 13), -300, 0, 300]
     stepped = []
     step = sparsity.backtracking_step
 
@@ -883,6 +892,19 @@ def test_descent_steps_at_every_scale_its_bound_allows(kind, first):
     bounded = [descent_smoothing(2.0**k * f[window.rows, window.cols], window.mask, kind)
                is not None for k in scales]
     assert stepped == bounded == [k >= first for k in scales]
+
+
+@pytest.mark.parametrize("kind", ["tv", "huber"])
+def test_a_window_with_a_nan_sample_is_returned_as_it_is(kind):
+    # TV's smoothing EPSILON * max|g| is NaN and ends the block; select_delta
+    # gives Huber delta 1, and no trial passes the line search
+    f, mask = random_field((32, 32), 93), make_support(32, 12)
+    f[16, 15] = np.nan
+    assert mask[16, 15]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sparsity_descent(f, mask, PenaltySpec(kind=kind))
+    assert out.tobytes() == f.tobytes()
 
 
 def _quotient_gradient(grad, scale):
