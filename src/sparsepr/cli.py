@@ -153,9 +153,16 @@ def cmd_retrieve(args) -> int:
         beta=args.beta, n_iterations=args.iters, seed=args.seed, penalty=penalty)
     magnitude = _load_finite(args.magnitude, "magnitude")
     mask = _load_mask(args.mask)
-    report = retrieval.run_hio(magnitude, mask, config)
+    # An uncreatable --out fails before the run, and a failed run leaves none.
     out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        report = retrieval.run_hio(magnitude, mask, config)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
     write_field_file(report.final_field, out / "recon.prf1")
     write_pgm(out / "recon_phase.pgm", phase_preview(report.final_field))
     _dump_json(
@@ -252,9 +259,10 @@ def cmd_sweep(args) -> int:
     ]
     results = {}
     failures = {}
-    # A pool starts all its workers at once, so it gets no more than there
-    # are cells, nor than the CPUs this process may run on.
-    workers = min(args.jobs, len(cells), len(os.sched_getaffinity(0)))
+    # A pool starts all its workers at once: no more than there are cells, nor
+    # than the CPUs this process may run on (all, without sched_getaffinity).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.jobs, len(cells), cpus or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         # One worker runs each cell in this process when its result is read.

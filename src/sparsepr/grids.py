@@ -47,8 +47,8 @@ def l2_norm(a, *, out=None) -> float:
     A ufunc reduction rather than numpy's norm, whose BLAS dot runs on
     every core for large arrays (oversubscribing parallel sweep workers)
     and rounds according to the BLAS kernel and thread count. This result
-    depends on neither. `out`, a real array of a's shape that is not `a`,
-    receives the squares instead of a new array.
+    depends on neither. `out`, a real array of a's shape (a real `a`
+    itself included), receives the squares instead of a new array.
     """
     a = np.asarray(a)
     if np.iscomplexobj(a):

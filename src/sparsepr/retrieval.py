@@ -143,8 +143,7 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
     g_next = np.empty_like(spectrum)  # g and g_next swap every stage
     transform = np.empty_like(spectrum)  # g_hat, then the forward transform
     modulus = np.empty_like(mag)
-    deviation = np.empty_like(mag)  # |G| - magnitude
-    squares = np.empty_like(mag)
+    deviation = np.empty_like(mag)  # |G| - magnitude, then its squares
     penalty_trace = np.empty(config.n_iterations)
     residual_trace = np.empty(config.n_iterations)
     do_descent = config.penalty.kind != "none" and config.penalty.n_inner_steps > 0
@@ -172,7 +171,7 @@ def run_hio(magnitude, mask, config: RetrievalConfig, *,
             ) from exc
         np.abs(big_g, out=modulus)
         np.subtract(modulus, mag, out=deviation)
-        residual_trace[n] = l2_norm(deviation, out=squares) / mag_norm
+        residual_trace[n] = l2_norm(deviation, out=deviation) / mag_norm
         # A NaN or inf anywhere in the spectrum makes the residual non-finite,
         # so a blow-up stops the run at the iteration where it happens.
         if not np.isfinite(residual_trace[n]):

@@ -23,8 +23,8 @@ A function that takes a keyword `out` writes there what it would
 otherwise allocate and returns it, with the same bits; `out` must not
 overlap an input. A field-shaped `out` is complex128; a penalty value's
 `out` receives the smoothed modulus r it sums, a float64 array. The
-stencils write through flat views, so gradient_of's out.gx and the `out`
-of tv_gradient and huber_gradient must be C-contiguous (else ValueError).
+stencils write through flat views, so the `out` of tv_gradient and
+huber_gradient must be C-contiguous (else ValueError).
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ def _restrict(field, region):
 class Gradient(NamedTuple):
     """discrete_gradient of a field with its squared modulus |gx|^2 + |gy|^2.
 
-    Every penalty value and gradient function takes one as `grad`: a
-    caller that already holds the gradient of the array it evaluates
-    (for a penalty value, of the region's window of that array) passes it
-    and the function skips the differencing.
+    gradient_of makes one. Every penalty value and gradient function takes
+    one as `grad`: a caller that already holds the gradient of the array it
+    evaluates (for a penalty value, of the region's window of that array)
+    passes it and the function skips the differencing.
     """
 
     gx: np.ndarray
@@ -184,19 +184,20 @@ class Gradient(NamedTuple):
     mag_sq: np.ndarray
 
 
-def gradient_of(field, *, out: Gradient | None = None) -> Gradient:
-    """The field's Gradient (`out`, a Gradient of the field's shape whose gx
-    is C-contiguous, is filled and returned)."""
-    f = np.ascontiguousarray(field, np.complex128)
-    if out is not None and not out.gx.flags.c_contiguous:
-        raise ValueError("gradient_of's out.gx must be C-contiguous")
-    gx, gy, mag_sq = (np.empty_like(f), np.empty_like(f), None) if out is None else out
-    _gradient_into(f, gx, gy)
-    mag_sq = np.abs(gx, out=mag_sq)
+def _fill_gradient(f, grad: Gradient) -> Gradient:
+    """gradient_of's body, unchecked: fills `grad` from f, f and grad.gx C-contiguous."""
+    _gradient_into(f, grad.gx, grad.gy)
+    mag_sq = np.abs(grad.gx, out=grad.mag_sq)
     np.square(mag_sq, out=mag_sq)
-    gy_sq = np.abs(gy)
+    gy_sq = np.abs(grad.gy)
     mag_sq += np.square(gy_sq, out=gy_sq)
-    return Gradient(gx, gy, mag_sq) if out is None else out
+    return grad
+
+
+def gradient_of(field) -> Gradient:
+    """The field's Gradient."""
+    f = np.ascontiguousarray(field, np.complex128)
+    return _fill_gradient(f, Gradient(np.empty_like(f), np.empty_like(f), np.empty(f.shape)))
 
 
 def _smoothed_modulus(mag_sq, s, out=None) -> np.ndarray:
@@ -398,7 +399,8 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     s is 0 or NaN, and Huber's delta 1 gives no step. An all-support window
     is region None.
 
-    The window-sized arrays the steps write are allocated once per call.
+    The window is copied once, and an accepted trial swaps with the one
+    trial array; the window-sized arrays are allocated once per call.
 
     An overflow anywhere in the block, the first gradient included, raises
     FloatingPointError (numpy's own message).
@@ -410,7 +412,8 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     if spec.kind == "none":
         return out
     f, window = _window_of(f, region)
-    sub = f[window.rows, window.cols]
+    # np.array copies even a C-contiguous window: the iterate becomes a trial buffer.
+    sub = np.array(f[window.rows, window.cols], order="C")
     inside = window.mask  # None if all of the window is support
     outside = None if inside is None else ~inside
     minus_zero = -np.complex128(0)  # the gradient outside the support, see backtracking_step
@@ -422,10 +425,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
     # most 2 + sqrt(2) for TV, (2 + sqrt(2)) / delta for Huber, at every pixel
     min_s_sq = 16 * sub.size / np.finfo(np.float64).max
 
-    # The line search reads `sub` while it writes a trial, so the iterate
-    # alternates between two arrays and never lands in the caller's field.
-    trial, spare = np.empty(sub.shape, np.complex128), np.empty(sub.shape, np.complex128)
-    gradient = np.empty(sub.shape, np.complex128)
+    trial, gradient = np.empty_like(sub), np.empty_like(sub)
     per_pixel = np.empty(sub.shape, np.float64)
     last = None
 
@@ -433,7 +433,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
         """Penalty of a line-search trial. Its Gradient and smoothed modulus
         overwrite `grad` and `per_pixel`, which the step no longer reads."""
         nonlocal last
-        gradient_of(g, out=grad)
+        _fill_gradient(g, grad)
         last = value(g, s, local, grad, out=per_pixel)
         return last
 
@@ -456,8 +456,7 @@ def sparsity_descent(field, region, spec: PenaltySpec, *, out=None) -> np.ndarra
             # t > 0: the last penalty call was on the accepted trial, now in
             # `trial`, and left its Gradient in `grad` and its smoothed
             # modulus in `per_pixel`.
-            sub, p0 = trial, last
-            trial, spare = spare, trial
+            sub, trial, p0 = trial, sub, last
 
     np.copyto(out[window.rows, window.cols], sub, where=True if inside is None else inside)
     return out

@@ -262,6 +262,39 @@ def test_retrieve_non_finite_iterate_exits_numeric(tmp_path, monkeypatch, capsys
     assert "non-finite field at iteration 1 of 4" in capsys.readouterr().err
 
 
+def test_retrieve_refuses_an_uncreatable_out_before_the_run(tmp_path, monkeypatch, capsys):
+    make_inputs(tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before --out was created")
+
+    monkeypatch.setattr(retrieval, "run_hio", no_run)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--alg", "hio-tv", "--iters", "2000",
+                 "--out", str(blocker / "run")])
+    assert code == EXIT_DATA
+    assert "a_file" in capsys.readouterr().err
+
+
+def test_retrieve_that_fails_removes_the_out_directories_it_made(tmp_path):
+    # --out is made before the run; a run that fails takes back every level
+    # it made, and only those
+    _, _, magnitude = make_inputs(tmp_path)
+    magnitude[0, 0] = -1.0
+    write_field_file(magnitude, tmp_path / "magnitude.prf1")
+    (tmp_path / "kept").mkdir()
+    code = main(["retrieve",
+                 "--magnitude", str(tmp_path / "magnitude.prf1"),
+                 "--mask", str(tmp_path / "support.prf1"),
+                 "--iters", "2", "--out", str(tmp_path / "kept" / "new" / "run")])
+    assert code == EXIT_DATA
+    assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
+
+
 @pytest.mark.parametrize("flags, bad_file, code, message", [
     (["--iters", "0"], None, EXIT_USAGE, "n_iterations must be >= 1"),
     (["--alg", "hio-huber", "--ntv", "-1"], None, EXIT_USAGE, "n_inner_steps must be >= 0"),
@@ -786,15 +819,23 @@ class _SyncPool:
         return future
 
 
-@pytest.mark.parametrize("seeds, jobs, cpus, pools", [
-    ([0, 1], "4", 8, [2]), ([0, 1, 2], "2", 8, [2]), ([0], "4", 8, []), ([0, 1], "1", 8, []),
-    ([0, 1, 2, 3], "8", 2, [2]), ([0, 1, 2], "3", 1, [])],
+@pytest.mark.parametrize("seeds, jobs, cpus, affinity, pools", [
+    ([0, 1], "4", 8, True, [2]), ([0, 1, 2], "2", 8, True, [2]), ([0], "4", 8, True, []),
+    ([0, 1], "1", 8, True, []), ([0, 1, 2, 3], "8", 2, True, [2]), ([0, 1, 2], "3", 1, True, []),
+    ([0, 1, 2, 3], "8", 3, False, [3]), ([0, 1], "4", None, False, [])],
     ids=["2cells-jobs4", "3cells-jobs2", "1cell-jobs4", "2cells-jobs1", "4cells-jobs8-2cpus",
-         "3cells-jobs3-1cpu"])
+         "3cells-jobs3-1cpu", "4cells-jobs8-3cpus-no-affinity",
+         "2cells-jobs4-unknown-cpus-no-affinity"])
 def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, seeds, jobs, cpus,
-                                                    pools):
-    # nor more workers than the CPUs the sweep may run on; no process starts
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                                                    affinity, pools):
+    # nor more workers than the CPUs the sweep may run on; no process starts.
+    # Without sched_getaffinity (macOS, Windows) the sweep counts every CPU,
+    # and one where os.cpu_count() cannot tell.
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SyncPool, "created", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SyncPool)
     cfg = sweep_config(tmp_path, seeds=seeds, algorithms=["hio"], iters=2)

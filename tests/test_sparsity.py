@@ -991,37 +991,12 @@ def test_an_infinite_sample_gives_nan_at_the_same_pixels():
     assert np.array_equal(got, quotient, equal_nan=True)
 
 
-def _gradient_buffers(shape):
-    return Gradient(np.empty(shape, np.complex128), np.empty(shape, np.complex128),
-                    np.empty(shape))
-
-
-def test_gradient_of_into_out_is_byte_equal():
+def test_gradient_of_is_byte_equal_to_the_reference_stencil():
     f = random_field((7, 9), 60)
     gx, gy = _old_discrete_gradient(f)
-    out = _gradient_buffers(f.shape)
-    grad = gradient_of(f, out=out)
-    assert all(a is b for a, b in zip(grad, out))
-    for got in (grad, gradient_of(f)):
-        assert got.gx.tobytes() == gx.tobytes() and got.gy.tobytes() == gy.tobytes()
-        assert got.mag_sq.tobytes() == (np.abs(gx) ** 2 + np.abs(gy) ** 2).tobytes()
-
-
-def test_gradient_of_refuses_a_strided_out_gx():
-    # the stencil differences gx through a flat view: a strided gx would
-    # receive a copy's differences and come back wrong, by up to 3.0 here
-    f = random_field((6, 6), 61)
-    base = np.zeros((8, 9), np.complex128)
-    out = Gradient(base[1:-1, 2:-1], np.zeros((6, 6), np.complex128), np.zeros((6, 6)))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        gradient_of(f, out=out)
-    assert not base.any() and not out.gy.any() and not out.mag_sq.any()
-    # gy and mag_sq are written through their own strides, so they may be strided
-    expected = gradient_of(f)
-    strided = Gradient(np.empty((6, 6), np.complex128), base[1:-1, 2:-1],
-                       np.zeros((8, 9))[1:-1, 2:-1])
-    got = gradient_of(f, out=strided)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    got = gradient_of(f)
+    assert got.gx.tobytes() == gx.tobytes() and got.gy.tobytes() == gy.tobytes()
+    assert got.mag_sq.tobytes() == (np.abs(gx) ** 2 + np.abs(gy) ** 2).tobytes()
 
 
 def _regions(shape):
